@@ -195,10 +195,10 @@ def _eval_one(task) -> metrics.PairResult:
     pred_path, gt_path, normalize, emd_res, distance = task
     p = gridio.read_grid(pred_path)
     q = gridio.read_grid(gt_path)
-    if normalize:
-        p = SaliencyGrid(p.values / p.values.sum())
-        q = SaliencyGrid(q.values / q.values.sum())
     try:
+        if normalize:  # a zero-mass grid fails here, as one image, not the run
+            p = SaliencyGrid(p.values / p.values.sum())
+            q = SaliencyGrid(q.values / q.values.sum())
         return metrics.evaluate_pair(p, q, Path(pred_path).stem,
                                      emd_resolution=emd_res, distance=distance)
     except Exception as exc:  # noqa: BLE001

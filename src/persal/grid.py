@@ -8,7 +8,7 @@ float32 (see :mod:`persal.gridio`).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

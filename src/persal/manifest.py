@@ -2,8 +2,9 @@
 
 Every CLI run writes one next to its outputs. Re-running from a manifest
 replays the stored argv (with all defaults already resolved), which together
-with seeded randomness makes outputs bit-for-bit reproducible. No timestamps
-are recorded, so the manifest itself is deterministic too.
+with seeded randomness makes outputs bit-for-bit reproducible on the same
+solver backend and NumPy/SciPy versions, which the manifest records too. No
+timestamps are recorded, so the manifest itself is deterministic as well.
 """
 
 from __future__ import annotations
@@ -13,12 +14,26 @@ import json
 from importlib import metadata
 from pathlib import Path
 
+import numpy as np
+
+from . import transport
+
 
 def tool_version() -> str:
     try:
         return metadata.version("persal")
     except metadata.PackageNotFoundError:
         return "unknown"
+
+
+def environment() -> dict:
+    """What decides the EMD bits besides the inputs. SciPy's version is read
+    from its package metadata: importing it would slow every command down."""
+    return {
+        "solver_backend": transport.BACKEND,
+        "numpy": np.__version__,
+        "scipy": metadata.version("scipy"),
+    }
 
 
 def file_digest(path: str | Path) -> str:
@@ -42,6 +57,7 @@ def write_manifest(
         "command": command,
         "argv": list(argv),
         "config": config,
+        "environment": environment(),
         "inputs": {str(p): file_digest(p) for p in sorted(map(str, input_paths))},
     }
     with open(path, "w") as f:

@@ -9,7 +9,7 @@ contribute their (small) confidence to the category sums.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -1,9 +1,11 @@
 """Brute-force linear-programming oracle for the earth mover's distance.
 
-Deliberately independent of the package's transportation solver: the flow
-problem is handed verbatim to scipy's HiGHS LP backend with the four EMD
-constraints written out as explicit matrices. Slow but trustworthy; used to
-pin the expected costs the fast solver must reproduce.
+The EMD is written out verbatim as one dense LP over all n^2 flows with its
+four constraints as explicit matrices, independent of ``metrics.emd``'s
+shared-mass cancelling, dummy node and plan extraction. It runs on scipy's
+HiGHS, as ``persal.transport`` does, so it does not check the LP engine
+itself: ``ssp_oracle`` is the solver-independent check. Slow but
+trustworthy; used to pin the expected costs the fast path must reproduce.
 """
 
 from __future__ import annotations
@@ -22,29 +24,6 @@ def ground_distance(h: int, w: int, metric: str = "euclidean") -> np.ndarray:
     if metric == "manhattan":
         return (np.abs(dr) + np.abs(dc)).astype(np.float64)
     raise ValueError(metric)
-
-
-def transport_oracle(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> float:
-    """Optimal cost of the balanced transportation problem, via a dense LP."""
-    supply = np.asarray(supply, dtype=np.float64)
-    demand = np.asarray(demand, dtype=np.float64)
-    cost = np.asarray(cost, dtype=np.float64)
-    S, T = cost.shape
-    A_eq = np.zeros((S + T, S * T))
-    for i in range(S):
-        A_eq[i, i * T : (i + 1) * T] = 1.0
-    for j in range(T):
-        A_eq[S + j, j::T] = 1.0
-    res = linprog(
-        cost.ravel(),
-        A_eq=A_eq,
-        b_eq=np.concatenate([supply, demand]),
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"LP oracle failed: {res.message}")
-    return float(res.fun)
 
 
 def emd_oracle(p: np.ndarray, q: np.ndarray, distance: str = "euclidean") -> float:

@@ -1,11 +1,13 @@
-"""Pure-Python transportation solver (primal-dual successive shortest paths).
+"""Independent exact oracle for the transportation problem.
 
-Fallback backend for :mod:`persal.transport`; the compiled extension in
-``_core.pyx`` implements the same method. Each phase runs one Dijkstra with
-node potentials over the bipartite residual graph, updates the potentials,
-then pushes as much flow as possible through the zero-reduced-cost
-(admissible) subgraph by repeated DFS augmentation. Flow only ever travels
-on admissible arcs, so the final plan is exactly optimal, not approximate.
+Primal-dual successive shortest paths in pure NumPy. It shares neither code
+nor algorithm with :mod:`persal.transport`, which solves the same problem as a
+linear program with HiGHS, so the two agreeing is evidence of correctness.
+Each phase runs one Dijkstra with node potentials over the bipartite residual
+graph, updates the potentials, then pushes as much flow as possible through
+the zero-reduced-cost (admissible) subgraph by repeated DFS augmentation.
+Flow only ever travels on admissible arcs, so the final plan is exactly
+optimal, not approximate. Slow (about 0.65 s for a 12x12 EMD pair).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ EPS = 1e-12
 RC_TOL = 1e-10  # fp slack when testing reduced costs for admissibility
 
 
-def solve_transport(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> np.ndarray:
+def ssp_transport(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Minimize sum(F * cost) with row sums == supply and column sums == demand.
 
     Requires sum(supply) == sum(demand) (the caller balances with a dummy

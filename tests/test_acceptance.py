@@ -33,12 +33,14 @@ from persal import (
     softmax_normalize,
     sweep_alpha,
     sweep_ratio,
+    transport,
     write_grid,
 )
 from persal.cli import main, run_from_manifest
 from persal.preference import PreferenceVector
 from persal.tuning import SweepSpec
 from lp_oracle import emd_oracle
+from ssp_oracle import ssp_transport
 from synth import (
     IMAGE_SIZE,
     fixation_map,
@@ -76,7 +78,7 @@ def test_01_identical_pairs_score_perfectly():
     report(f"100 identical 16x16 pairs score perfectly in {elapsed:.2f}s (<5s)")
 
 
-def test_02_emd_matches_lp_oracle():
+def test_02_emd_matches_lp_oracle(monkeypatch):
     rng = np.random.default_rng(102)
     start = time.perf_counter()
     for _ in range(50):
@@ -85,6 +87,10 @@ def test_02_emd_matches_lp_oracle():
         got, plan = emd(p, q)
         ref = emd_oracle(p.values, q.values)
         assert abs(got - ref) <= 1e-6
+        with monkeypatch.context() as patch:  # same EMD on the independent SSP solver
+            patch.setattr(transport, "solve_transport", ssp_transport)
+            ssp_ref, _ = emd(p, q)
+        assert abs(got - ssp_ref) <= 1e-7 * max(1.0, ssp_ref)
         F = np.zeros((9, 9))
         for i, j, m in plan.flows:
             assert m >= 0
@@ -94,7 +100,7 @@ def test_02_emd_matches_lp_oracle():
         assert abs(F.sum() - 1.0) <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    report(f"50 random 3x3 EMD instances match the LP oracle in {elapsed:.2f}s (<10s)")
+    report(f"50 random 3x3 EMD instances match the LP and SSP oracles in {elapsed:.2f}s (<10s)")
 
 
 def test_03_emd_is_a_metric_with_exact_shifts():

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from persal import SaliencyGrid, read_grid, write_grid
+import persal
+from persal import SaliencyGrid, read_grid, transport, write_grid
 from persal.cli import _resolve_jobs, main, run_from_manifest
 from persal.manifest import read_manifest
 from synth import fixation_map
@@ -216,6 +222,37 @@ class TestEval:
                      "--out", str(out), "--jobs", "1"]) == 1
         assert not (out / "per_image.csv").exists()
 
+    def test_normalize_turns_zero_mass_grid_into_failure_row(self, tmp_path):
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gtdir"
+        pred.mkdir()
+        gt.mkdir()
+        rng = np.random.default_rng(3)
+        for name in ("a", "b", "c"):
+            values = np.zeros((4, 4)) if name == "b" else rng.random((4, 4)) + 0.1
+            write_grid(SaliencyGrid(values), pred / f"{name}.fgrd")
+            write_grid(SaliencyGrid(rng.random((4, 4)) + 0.1), gt / f"{name}.fgrd")
+        out = tmp_path / "report"
+        with np.errstate(invalid="ignore"):
+            rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out),
+                       "--jobs", "1", "--normalize"])
+        assert rc == 0
+        agg = json.loads((out / "aggregate.json").read_text())
+        assert agg["counts"]["failures"] == 1
+        rows = (out / "per_image.csv").read_text().strip().splitlines()[1:]
+        by_id = {row.split(",")[0]: row for row in rows}
+        assert "grid values must be finite" in by_id["b"]
+        for name in ("a", "c"):
+            assert by_id[name].split(",")[5] != ""  # EMD scored
+
+    def test_manifest_records_solver_environment(self, tmp_path):
+        rc, out = self.run_identity_eval(tmp_path)
+        assert rc == 0
+        env = read_manifest(out / "run_manifest.json")["environment"]
+        assert env["solver_backend"] == transport.BACKEND
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+
     def test_no_matching_names(self, tmp_path):
         pred = tmp_path / "pred"
         gt = tmp_path / "gtdir"
@@ -309,3 +346,14 @@ class TestJobsResolution:
     def test_default_cpu_count(self, monkeypatch):
         monkeypatch.delenv("PERSAL_JOBS", raising=False)
         assert _resolve_jobs(None) >= 1
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # the solver imports it on first use; at start-up it would cost every
+        # command about 0.5 s
+        src = str(Path(persal.__file__).resolve().parents[1])
+        code = "import sys, persal.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
