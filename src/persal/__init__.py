@@ -1,9 +1,9 @@
 """Personalized saliency toolkit.
 
-Preference-vector extraction, detection-tensor layers, dynamic personalized
-ground-truth generation, the center prior, both comparison baselines, the
-four-metric evaluation suite (CC, SIM, KL variants, linear EMD with an exact
-transport solver), and the blend-weight tuning sweep.
+Preference-vector extraction, dynamic personalized ground-truth generation,
+the center prior, both comparison baselines, the four-metric evaluation suite
+(CC, SIM, KL variants, linear EMD with an exact transport solver), and the
+blend-weight tuning sweep.
 """
 
 from .baselines import BaselineConfig, center_prior_baseline, detection_baseline
@@ -16,11 +16,11 @@ from .metrics import (
     PairResult,
     cc,
     emd,
-    evaluate_batch,
     evaluate_pair,
     kld_judd,
     kld_plain,
     sim,
+    summarize,
 )
 from .preference import (
     CategoryMapping,
@@ -29,23 +29,19 @@ from .preference import (
     PreferenceVector,
     extract_preferences,
     from_ratings,
-    pad_to_channels,
 )
-from .raster import ClassTensor, NmsConfig, map_to_super, nms, preference_map, rasterize
 from .tuning import SweepResult, SweepSpec, final_weights, sweep_alpha, sweep_ratio
 
 __all__ = [
     "AnnotatedImage",
     "BaselineConfig",
     "CategoryMapping",
-    "ClassTensor",
     "Detection",
     "DetectionSet",
     "FlowPlan",
     "GridStats",
     "GtWeights",
     "MetricReport",
-    "NmsConfig",
     "PairResult",
     "PreferenceVector",
     "SaliencyGrid",
@@ -56,7 +52,6 @@ __all__ = [
     "center_prior_baseline",
     "detection_baseline",
     "emd",
-    "evaluate_batch",
     "evaluate_pair",
     "export_pgm",
     "extract_preferences",
@@ -65,18 +60,14 @@ __all__ = [
     "generate_psal",
     "kld_judd",
     "kld_plain",
-    "map_to_super",
     "minmax_normalize",
-    "nms",
-    "pad_to_channels",
     "pmap",
-    "preference_map",
-    "rasterize",
     "read_grid",
     "resample",
     "sim",
     "softmax_normalize",
     "stats",
+    "summarize",
     "sweep_alpha",
     "sweep_ratio",
     "write_grid",

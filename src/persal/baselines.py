@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ZeroMassError
 from .grid import SaliencyGrid
 from .preference import CategoryMapping, DetectionSet, PreferenceVector
-from .raster import GRID_SIZE, box_to_cells
+from .raster import GRID_SIZE, paint_max
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,8 @@ def detection_baseline(
     kept = [d for d in dets.detections if d.score >= cfg.confidence_threshold]
     if not kept:
         return random_fallback_grid(cfg.seed, grid_h, grid_w)
-    out = np.zeros((grid_h, grid_w), dtype=np.float64)
-    for d in kept:
-        value = d.score * float(pvec.weights[mapping.super_index(d.category_id)])
-        span = box_to_cells(d.box, dets.image_w, dets.image_h, grid_h, grid_w)
-        if span is None:
-            continue
-        r0, r1, c0, c1 = span
-        region = out[r0:r1, c0:c1]
-        np.maximum(region, value, out=region)
+    values = [d.score * float(pvec.weights[mapping.super_index(d.category_id)]) for d in kept]
+    out = paint_max((d.box for d in kept), values, dets.image_w, dets.image_h, grid_h, grid_w)
     mass = out.sum()
     if mass <= 0:  # all kept detections carry zero weight; same story as no detections
         return random_fallback_grid(cfg.seed, grid_h, grid_w)

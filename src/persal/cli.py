@@ -16,8 +16,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines, groundtruth, gridio, manifest, metrics, preference, tuning
 from .errors import DimMismatchError, PersalError, PersalIOError, ZeroMassError
 from .grid import SaliencyGrid
@@ -191,19 +189,27 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+def _normalized(g: SaliencyGrid, image_id: str, role: str) -> SaliencyGrid:
+    mass = float(g.values.sum())
+    if mass <= 0:
+        raise ZeroMassError(f"{image_id}: {role} has zero mass")
+    return SaliencyGrid(g.values / mass)
+
+
 def _eval_one(task) -> metrics.PairResult:
+    """Score one pair. File errors propagate and fail the run; every other
+    error becomes this image's failure record."""
     pred_path, gt_path, normalize, emd_res, distance = task
+    image_id = Path(pred_path).stem
     p = gridio.read_grid(pred_path)
     q = gridio.read_grid(gt_path)
     try:
-        if normalize:  # a zero-mass grid fails here, as one image, not the run
-            p = SaliencyGrid(p.values / p.values.sum())
-            q = SaliencyGrid(q.values / q.values.sum())
-        return metrics.evaluate_pair(p, q, Path(pred_path).stem,
-                                     emd_resolution=emd_res, distance=distance)
+        if normalize:
+            p = _normalized(p, image_id, "prediction")
+            q = _normalized(q, image_id, "ground truth")
+        return metrics.evaluate_pair(p, q, image_id, emd_resolution=emd_res, distance=distance)
     except Exception as exc:  # noqa: BLE001
-        return metrics.PairResult(image_id=Path(pred_path).stem,
-                                  error=f"{type(exc).__name__}: {exc}")
+        return metrics.PairResult(image_id=image_id, error=f"{type(exc).__name__}: {exc}")
 
 
 def cmd_eval(args) -> int:
@@ -213,12 +219,13 @@ def cmd_eval(args) -> int:
     if not names:
         raise _UsageError("no matching grid filenames between --pred and --gt")
 
-    # dimension check up front, before any output is written
+    # dimension check from the headers, before any output is written; the
+    # payloads are read and checksummed once, in _eval_one
     for name in names:
-        p = gridio.read_grid(pred_paths[name])
-        q = gridio.read_grid(gt_paths[name])
-        if p.shape != q.shape:
-            raise DimMismatchError(f"{name}: pred {p.shape} vs gt {q.shape}")
+        p_shape = gridio.read_shape(pred_paths[name])
+        q_shape = gridio.read_shape(gt_paths[name])
+        if p_shape != q_shape:
+            raise DimMismatchError(f"{name}: pred {p_shape} vs gt {q_shape}")
 
     tasks = [
         (str(pred_paths[n]), str(gt_paths[n]), args.normalize, args.emd_res, args.distance)
@@ -227,19 +234,17 @@ def cmd_eval(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_eval_one, tasks))
+            try:
+                records = list(pool.map(_eval_one, tasks))
+            except BaseException:  # a file error ends the run: drop the queued pairs
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         records = [_eval_one(t) for t in tasks]
 
-    ok = [r for r in records if r.error is None]
-    cc_vals = [r.cc for r in ok if r.cc is not None]
-    means = {
-        "cc": float(np.mean(cc_vals)) if cc_vals else float("nan"),
-        "sim": float(np.mean([r.sim for r in ok])) if ok else float("nan"),
-        "kld_judd": float(np.mean([r.kld_judd for r in ok])) if ok else float("nan"),
-        "kld_plain": float(np.mean([r.kld_plain for r in ok])) if ok else float("nan"),
-        "emd": float(np.mean([r.emd for r in ok])) if ok else float("nan"),
-    }
+    report = metrics.summarize(records, {"emd_resolution": args.emd_res,
+                                         "distance": args.distance,
+                                         "normalize": args.normalize})
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -247,25 +252,17 @@ def cmd_eval(args) -> int:
         writer = csv.writer(f)
         writer.writerow(["id", "cc", "sim", "kld_judd", "kld_plain", "emd", "flags"])
         for r in records:
+            scores = (r.cc, r.sim, r.kld_judd, r.kld_plain, r.emd)
             flags = r.error or ("cc_undefined" if r.cc is None else "")
-            writer.writerow([
-                r.image_id,
-                "" if r.cc is None else repr(r.cc),
-                "" if r.sim is None else repr(r.sim),
-                "" if r.kld_judd is None else repr(r.kld_judd),
-                "" if r.kld_plain is None else repr(r.kld_plain),
-                "" if r.emd is None else repr(r.emd),
-                flags,
-            ])
+            writer.writerow([r.image_id, *("" if v is None else repr(v) for v in scores), flags])
     aggregate = {
-        "means": means,
+        "means": report.means,
         "counts": {
-            "images": len(records),
-            "cc_excluded": len(ok) - len(cc_vals),
-            "failures": len(records) - len(ok),
+            "images": len(report.records),
+            "cc_excluded": report.cc_excluded,
+            "failures": report.failures,
         },
-        "config": {"emd_resolution": args.emd_res, "distance": args.distance,
-                   "normalize": args.normalize},
+        "config": report.config,
     }
     with open(out_dir / "aggregate.json", "w") as f:
         json.dump(aggregate, f, indent=2, sort_keys=True)
@@ -275,7 +272,7 @@ def cmd_eval(args) -> int:
     if args.normalize:
         argv.append("--normalize")
     manifest.write_manifest(
-        out_dir / "run_manifest.json", "eval", argv, aggregate["config"],
+        out_dir / "run_manifest.json", "eval", argv, report.config,
         [pred_paths[n] for n in names] + [gt_paths[n] for n in names],
     )
     return 0

@@ -29,14 +29,6 @@ class TooManySuperCategoriesError(PersalError):
     pass
 
 
-class CategoryOutOfRangeError(PersalError):
-    pass
-
-
-class ChannelMismatchError(PersalError):
-    pass
-
-
 class NotNormalizedError(PersalError):
     pass
 

@@ -34,6 +34,24 @@ def write_grid(g: SaliencyGrid, path: str | Path) -> None:
         f.write(struct.pack("<Q", _checksum(payload)))
 
 
+def _parse_header(data: bytes, path: str | Path) -> tuple[int, int]:
+    if len(data) < _HEADER.size:
+        raise TruncatedFileError(f"{path}: too short for an FGRD header")
+    magic, version, h, w = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise BadMagicError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise BadMagicError(f"{path}: unsupported version {version}")
+    return h, w
+
+
+def read_shape(path: str | Path) -> tuple[int, int]:
+    """(height, width) from the FGRD header alone; the payload and its
+    checksum are left for :func:`read_grid`."""
+    with open(path, "rb") as f:
+        return _parse_header(f.read(_HEADER.size), path)
+
+
 def read_grid(path: str | Path) -> SaliencyGrid:
     """Read an FGRD file; the checksum is always enforced.
 
@@ -42,13 +60,7 @@ def read_grid(path: str | Path) -> SaliencyGrid:
     """
     with open(path, "rb") as f:
         data = f.read()
-    if len(data) < _HEADER.size:
-        raise TruncatedFileError(f"{path}: too short for an FGRD header")
-    magic, version, h, w = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise BadMagicError(f"{path}: unsupported version {version}")
+    h, w = _parse_header(data, path)
     expected = _HEADER.size + 4 * h * w + 8
     if len(data) < expected:
         raise TruncatedFileError(f"{path}: expected {expected} bytes, got {len(data)}")

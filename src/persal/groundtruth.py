@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DimMismatchError, EmptyListError
 from .grid import SaliencyGrid, minmax_normalize, resample, softmax_normalize
 from .preference import CategoryMapping, DetectionSet, PreferenceVector
-from .raster import GRID_SIZE, box_to_cells
+from .raster import GRID_SIZE, paint_max
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -54,16 +54,10 @@ def pmap(
 ) -> SaliencyGrid:
     """Preference map: each cell takes the max preference weight among the
     ground-truth objects covering it; uncovered cells are 0."""
-    out = np.zeros((grid_h, grid_w), dtype=np.float64)
-    for d in img.boxes.detections:
-        weight = float(pvec.weights[img.mapping.super_index(d.category_id)])
-        span = box_to_cells(d.box, img.boxes.image_w, img.boxes.image_h, grid_h, grid_w)
-        if span is None:
-            continue
-        r0, r1, c0, c1 = span
-        region = out[r0:r1, c0:c1]
-        np.maximum(region, weight, out=region)
-    return SaliencyGrid(out)
+    dets = img.boxes.detections
+    weights = [float(pvec.weights[img.mapping.super_index(d.category_id)]) for d in dets]
+    return SaliencyGrid(paint_max((d.box for d in dets), weights,
+                                  img.boxes.image_w, img.boxes.image_h, grid_h, grid_w))
 
 
 def generate_psal(

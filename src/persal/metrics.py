@@ -227,42 +227,21 @@ def evaluate_pair(
     )
 
 
-def evaluate_batch(
-    pairs: list[tuple[SaliencyGrid, SaliencyGrid]],
-    ids: list[str] | None = None,
-    emd_resolution: int = DEFAULT_EMD_RESOLUTION,
-    distance: str = "euclidean",
-) -> MetricReport:
-    """Per-image metrics plus arithmetic means.
+def summarize(records: list[PairResult], config: dict) -> MetricReport:
+    """Arithmetic means over the records that scored.
 
-    Per-image errors become failure records; the batch never aborts. Pairs
-    with undefined CC contribute to the other means and are counted in
-    ``cc_excluded``.
+    Failure records are counted in ``failures``; pairs with undefined CC
+    contribute to the other means and are counted in ``cc_excluded``.
     """
-    if ids is None:
-        ids = [str(i) for i in range(len(pairs))]
-    records: list[PairResult] = []
-    for image_id, (p, q) in zip(ids, pairs):
-        try:
-            records.append(
-                evaluate_pair(p, q, image_id, emd_resolution=emd_resolution, distance=distance)
-            )
-        except Exception as exc:  # noqa: BLE001 - per-image failures are data
-            records.append(PairResult(image_id=image_id, error=f"{type(exc).__name__}: {exc}"))
-
     ok = [r for r in records if r.error is None]
     cc_vals = [r.cc for r in ok if r.cc is not None]
-    means = {
-        "cc": float(np.mean(cc_vals)) if cc_vals else float("nan"),
-        "sim": float(np.mean([r.sim for r in ok])) if ok else float("nan"),
-        "kld_judd": float(np.mean([r.kld_judd for r in ok])) if ok else float("nan"),
-        "kld_plain": float(np.mean([r.kld_plain for r in ok])) if ok else float("nan"),
-        "emd": float(np.mean([r.emd for r in ok])) if ok else float("nan"),
-    }
+    means = {"cc": float(np.mean(cc_vals)) if cc_vals else float("nan")}
+    for name in ("sim", "kld_judd", "kld_plain", "emd"):
+        means[name] = float(np.mean([getattr(r, name) for r in ok])) if ok else float("nan")
     return MetricReport(
         records=tuple(records),
         means=means,
         cc_excluded=len(ok) - len(cc_vals),
         failures=len(records) - len(ok),
-        config={"emd_resolution": emd_resolution, "distance": distance},
+        config=config,
     )

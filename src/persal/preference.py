@@ -1,9 +1,10 @@
 """User preference vectors built from detection histories or manual ratings.
 
 Note: no confidence cutoff is applied here. Detection manifests are assumed
-pre-thresholded by the producing detector; confidence thresholds belong to
-the NMS stage (:mod:`persal.raster`). Low-confidence detections therefore
-contribute their (small) confidence to the category sums.
+pre-thresholded by the producing detector; the only confidence threshold is
+the detection baseline's (``BaselineConfig.confidence_threshold``).
+Low-confidence detections therefore contribute their (small) confidence to
+the category sums.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     UnmappedCategoryError,
 )
 
-CHANNEL_CAP = 20  # fixed Mapping-layer output width
+CHANNEL_CAP = 20  # most super categories a mapping or preference vector may hold
 DEFAULT_WINDOW_DAYS = 90
 
 
@@ -147,17 +148,6 @@ def from_ratings(names: list[str], ratings: list[int]) -> PreferenceVector:
         if not 0 <= r <= 10:
             raise RatingOutOfRangeError(f"rating {r} outside 0..10")
     return PreferenceVector(tuple(names), np.asarray(ratings, dtype=np.float64) / 10.0)
-
-
-def pad_to_channels(pvec: PreferenceVector, channels: int = CHANNEL_CAP) -> PreferenceVector:
-    """Zero-pad the vector to the fixed channel count of the mapping stage."""
-    if len(pvec) > channels:
-        raise TooManySuperCategoriesError(f"{len(pvec)} super categories exceed {channels} channels")
-    if len(pvec) == channels:
-        return pvec
-    pad = channels - len(pvec)
-    names = pvec.names + tuple(f"_reserved_{i}" for i in range(len(pvec), channels))
-    return PreferenceVector(names, np.concatenate([pvec.weights, np.zeros(pad)]))
 
 
 # --- JSON plumbing -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Post-detection tensor math: NMS, confidence rasterization, channel mapping.
+"""Painting pixel boxes onto saliency grids.
 
 Boxes live in source-image pixel coordinates; grids use a fixed resolution
 (38x38 by default). A grid cell counts as covered when its cell rectangle
@@ -7,99 +7,18 @@ intersects the scaled box with positive area (half-open intervals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import ceil, floor
 
 import numpy as np
 
-from .errors import CategoryOutOfRangeError, ChannelMismatchError
-from .grid import SaliencyGrid
-from .preference import CHANNEL_CAP, CategoryMapping, Detection, DetectionSet, PreferenceVector
-
 GRID_SIZE = 38
 
-# per-dataset confidence-threshold presets
-CONFIDENCE_PRESETS = {"voc": 0.6, "coco": 0.5}
-DEFAULT_IOU_THRESHOLD = 0.45
-
-
-@dataclass(frozen=True)
-class NmsConfig:
-    confidence_threshold: float
-    iou_threshold: float = DEFAULT_IOU_THRESHOLD
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ValueError("confidence_threshold must be in [0, 1]")
-        if not 0.0 < self.iou_threshold <= 1.0:
-            raise ValueError("iou_threshold must be in (0, 1]")
-
-    @classmethod
-    def for_dataset(cls, name: str, iou_threshold: float = DEFAULT_IOU_THRESHOLD) -> "NmsConfig":
-        return cls(CONFIDENCE_PRESETS[name.lower()], iou_threshold)
-
-
-@dataclass(frozen=True)
-class ClassTensor:
-    """H x W x N stack of per-category confidence grids."""
-
-    values: np.ndarray  # shape (n_channels, H, W)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 3:
-            raise ValueError("class tensor must be 3-D (channels, H, W)")
-        if np.any(v < 0) or np.any(v > 1):
-            raise ValueError("class-tensor values must lie in [0, 1]")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
-
-def iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
-    """Intersection over union of two (x, y, w, h) boxes."""
-    ax0, ay0, aw, ah = a
-    bx0, by0, bw, bh = b
-    ix = max(0.0, min(ax0 + aw, bx0 + bw) - max(ax0, bx0))
-    iy = max(0.0, min(ay0 + ah, by0 + bh) - max(ay0, by0))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
-
-
-def nms(dets: DetectionSet, cfg: NmsConfig) -> DetectionSet:
-    """Greedy per-class non-maximum suppression after confidence filtering.
-
-    Kept detections come back in descending confidence order.
-    """
-    candidates = [d for d in dets.detections if d.score >= cfg.confidence_threshold]
-    candidates.sort(key=lambda d: -d.score)
-    kept: list[Detection] = []
-    for d in candidates:
-        suppressed = any(
-            k.category_id == d.category_id and iou(k.box, d.box) > cfg.iou_threshold for k in kept
-        )
-        if not suppressed:
-            kept.append(d)
-    return DetectionSet(dets.image_w, dets.image_h, tuple(kept), dets.timestamp, dets.image_id)
+Box = tuple[float, float, float, float]  # x, y, w, h in source-image pixels
 
 
 def box_to_cells(
-    box: tuple[float, float, float, float],
+    box: Box,
     image_w: int,
     image_h: int,
     grid_h: int,
@@ -123,46 +42,22 @@ def box_to_cells(
     return r0, r1, c0, c1
 
 
-def rasterize(
-    dets: DetectionSet, grid_h: int = GRID_SIZE, grid_w: int = GRID_SIZE, n_classes: int = CHANNEL_CAP
-) -> ClassTensor:
-    """Paint each kept detection into its class channel, max-combining overlaps."""
-    out = np.zeros((n_classes, grid_h, grid_w), dtype=np.float64)
-    for d in dets.detections:
-        if not 0 <= d.category_id < n_classes:
-            raise CategoryOutOfRangeError(f"category id {d.category_id} >= n_classes {n_classes}")
-        span = box_to_cells(d.box, dets.image_w, dets.image_h, grid_h, grid_w)
+def paint_max(
+    boxes: Iterable[Box],
+    values: Iterable[float],
+    image_w: int,
+    image_h: int,
+    grid_h: int,
+    grid_w: int,
+) -> np.ndarray:
+    """Zero grid with each box's value painted over the cells it covers;
+    overlapping boxes keep the per-cell max."""
+    out = np.zeros((grid_h, grid_w), dtype=np.float64)
+    for box, value in zip(boxes, values):
+        span = box_to_cells(box, image_w, image_h, grid_h, grid_w)
         if span is None:
             continue
         r0, r1, c0, c1 = span
-        region = out[d.category_id, r0:r1, c0:c1]
-        np.maximum(region, d.score, out=region)
-    return ClassTensor(out)
-
-
-def map_to_super(t: ClassTensor, mapping: CategoryMapping, pvec: PreferenceVector) -> ClassTensor:
-    """Merge detailed channels into preference-weighted super-category channels.
-
-    Each super channel is the element-wise max of its member channels scaled
-    by the super category's preference weight. Output is always CHANNEL_CAP
-    channels; channels beyond ``mapping.n_super`` stay zero.
-    """
-    if len(pvec) != CHANNEL_CAP:
-        raise ChannelMismatchError(f"pvec must be padded to {CHANNEL_CAP} channels, got {len(pvec)}")
-    out = np.zeros((CHANNEL_CAP, t.height, t.width), dtype=np.float64)
-    for detailed, super_idx in mapping.entries.items():
-        if not 0 <= detailed < t.n_channels:
-            raise ChannelMismatchError(f"mapping refers to channel {detailed} >= {t.n_channels}")
-        np.maximum(out[super_idx], t.values[detailed], out=out[super_idx])
-    if mapping.catch_all is not None:
-        mapped = set(mapping.entries)
-        for detailed in range(t.n_channels):
-            if detailed not in mapped:
-                np.maximum(out[mapping.catch_all], t.values[detailed], out=out[mapping.catch_all])
-    out *= pvec.weights[:, None, None]
-    return ClassTensor(out)
-
-
-def preference_map(t_super: ClassTensor) -> SaliencyGrid:
-    """Flatten a super-category tensor to a single grid by per-cell max."""
-    return SaliencyGrid(t_super.values.max(axis=0))
+        region = out[r0:r1, c0:c1]
+        np.maximum(region, value, out=region)
+    return out

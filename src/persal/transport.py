@@ -58,6 +58,12 @@ def solve_transport(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) ->
     b_eq = np.concatenate([supply, demand[:-1]]) * scale
 
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
+    if res.status == 2:
+        # presolve can call a feasible problem infeasible when a node's mass
+        # is below HiGHS's tolerances (e.g. a 5e-10 source next to a dummy
+        # sink of rounding-level mass); the unreduced problem solves
+        res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm",
+                      options={"presolve": False})
     if res.status != 0:
         raise RuntimeError(f"transportation solve failed: {res.message}")
     return res.x.reshape(S, T) / scale

@@ -222,6 +222,7 @@ class TestEval:
                      "--out", str(out), "--jobs", "1"]) == 1
         assert not (out / "per_image.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_normalize_turns_zero_mass_grid_into_failure_row(self, tmp_path):
         pred = tmp_path / "pred"
         gt = tmp_path / "gtdir"
@@ -233,17 +234,61 @@ class TestEval:
             write_grid(SaliencyGrid(values), pred / f"{name}.fgrd")
             write_grid(SaliencyGrid(rng.random((4, 4)) + 0.1), gt / f"{name}.fgrd")
         out = tmp_path / "report"
-        with np.errstate(invalid="ignore"):
-            rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out),
-                       "--jobs", "1", "--normalize"])
+        rc = main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out),
+                   "--jobs", "1", "--normalize"])
         assert rc == 0
         agg = json.loads((out / "aggregate.json").read_text())
         assert agg["counts"]["failures"] == 1
         rows = (out / "per_image.csv").read_text().strip().splitlines()[1:]
         by_id = {row.split(",")[0]: row for row in rows}
-        assert "grid values must be finite" in by_id["b"]
+        assert by_id["b"].endswith("ZeroMassError: b: prediction has zero mass")
         for name in ("a", "c"):
             assert by_id[name].split(",")[5] != ""  # EMD scored
+
+    @pytest.mark.filterwarnings("error")
+    def test_normalize_names_zero_mass_ground_truth(self, tmp_path):
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gtdir"
+        pred.mkdir()
+        gt.mkdir()
+        write_grid(SaliencyGrid(np.ones((4, 4))), pred / "a.fgrd")
+        write_grid(SaliencyGrid(np.zeros((4, 4))), gt / "a.fgrd")
+        out = tmp_path / "report"
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out),
+                     "--jobs", "1", "--normalize"]) == 0
+        row = (out / "per_image.csv").read_text().strip().splitlines()[1]
+        assert row.endswith("ZeroMassError: a: ground truth has zero mass")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_corrupt_payload_fails_run_without_output(self, tmp_path, jobs):
+        pred = tmp_path / "pred"
+        gt = tmp_path / "gtdir"
+        pred.mkdir()
+        gt.mkdir()
+        rng = np.random.default_rng(4)
+        for name in ("a", "b", "c"):
+            write_grid(SaliencyGrid(rng.random((4, 4))), pred / f"{name}.fgrd")
+            write_grid(SaliencyGrid(rng.random((4, 4))), gt / f"{name}.fgrd")
+        raw = bytearray((pred / "b.fgrd").read_bytes())
+        raw[20] ^= 0xFF  # payload byte; the header still parses
+        (pred / "b.fgrd").write_bytes(bytes(raw))
+        out = tmp_path / "report"
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out),
+                     "--jobs", jobs]) == 2
+        assert not (out / "per_image.csv").exists()
+
+    def test_each_grid_read_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        for d in ("pred", "gtdir"):
+            (tmp_path / d).mkdir()
+            for name in ("a", "b", "c"):
+                write_grid(SaliencyGrid(rng.random((4, 4))), tmp_path / d / f"{name}.fgrd")
+        calls = []
+        real = persal.gridio.read_grid
+        monkeypatch.setattr(persal.gridio, "read_grid", lambda path: calls.append(path) or real(path))
+        assert main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gtdir"),
+                     "--out", str(tmp_path / "report"), "--jobs", "1"]) == 0
+        assert len(calls) == 6  # 3 images, pred and gt each read once
 
     def test_manifest_records_solver_environment(self, tmp_path):
         rc, out = self.run_identity_eval(tmp_path)

@@ -3,7 +3,7 @@ import pytest
 
 from persal import SaliencyGrid, export_pgm, read_grid, write_grid
 from persal.errors import BadMagicError, ChecksumMismatchError, TruncatedFileError
-from persal.gridio import MAGIC
+from persal.gridio import MAGIC, read_shape
 
 
 class TestRoundTrip:
@@ -75,6 +75,25 @@ class TestCorruption:
         path.write_bytes(bytes(raw))
         with pytest.raises(BadMagicError):
             read_grid(path)
+
+
+class TestReadShape:
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "s.fgrd"
+        write_grid(SaliencyGrid(np.ones((3, 5))), path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF  # the checksum is read_grid's business
+        path.write_bytes(bytes(raw))
+        assert read_shape(path) == (3, 5)
+
+    def test_shares_header_validation(self, tmp_path):
+        path = tmp_path / "e.fgrd"
+        path.write_bytes(b"FGRD")
+        with pytest.raises(TruncatedFileError):
+            read_shape(path)
+        path.write_bytes(b"JUNK" + bytes(9))
+        with pytest.raises(BadMagicError):
+            read_shape(path)
 
 
 class TestPgmExport:

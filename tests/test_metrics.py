@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from persal import SaliencyGrid, cc, emd, evaluate_batch, kld_judd, kld_plain, sim
+from persal import SaliencyGrid, cc, emd, kld_judd, kld_plain, sim, summarize, write_grid
 from persal.errors import (
     DimMismatchError,
     NotNormalizedError,
     UndefinedRatioError,
     ZeroVarianceError,
 )
+from persal.cli import _eval_one
 from persal.metrics import KLD_JUDD_EPS, evaluate_pair
 from lp_oracle import emd_oracle
 from synth import normalized_grid
@@ -223,6 +224,19 @@ class TestEmd:
             assert abs(dab - dba) <= 1e-9
             assert dac <= dab + dbc + 1e-9
 
+    def test_sub_tolerance_source_beside_rounding_dummy(self):
+        # HiGHS presolve once declared this residual problem infeasible: a
+        # 5e-10 source and a 1.1e-16 dummy sink left by the balancing step
+        p = np.zeros((3, 5))
+        q = np.zeros((3, 5))
+        p[1, 4] = p[2, 0] = 0.49999999975
+        p[2, 1] = 4.9999999975e-10
+        q[2, 2] = q[2, 3] = 0.43473574241697555
+        q[2, 4] = 0.1305285151660488
+        got, _ = emd(SaliencyGrid(p), SaliencyGrid(q))
+        ref = emd_oracle(p, q)
+        assert abs(got - ref) <= 1e-7 * ref
+
     def test_downsampling_large_inputs(self):
         rng = np.random.default_rng(8)
         p = SaliencyGrid(rng.random((38, 38)))
@@ -242,11 +256,16 @@ class TestEmd:
         assert abs(plan.total_cost - cost) <= 1e-15
 
 
+def score(pairs):
+    """Per-pair records plus their summary, without the file round trip."""
+    return summarize([evaluate_pair(p, q, str(i)) for i, (p, q) in enumerate(pairs)], {})
+
+
 class TestEvaluate:
     def test_identical_pair_means(self):
         rng = np.random.default_rng(10)
         p = normalized_grid(rng, 8, 8)
-        report = evaluate_batch([(p, p)])
+        report = score([(p, p)])
         assert abs(report.means["cc"] - 1.0) <= 1e-12
         assert abs(report.means["sim"] - 1.0) <= 1e-9
         assert abs(report.means["kld_judd"]) <= 1e-12
@@ -257,7 +276,7 @@ class TestEvaluate:
     def test_mean_is_arithmetic_average(self):
         rng = np.random.default_rng(11)
         pairs = [(normalized_grid(rng, 4, 4), normalized_grid(rng, 4, 4)) for _ in range(2)]
-        report = evaluate_batch(pairs)
+        report = score(pairs)
         per = [r.sim for r in report.records]
         assert abs(report.means["sim"] - np.mean(per)) <= 1e-15
 
@@ -266,17 +285,26 @@ class TestEvaluate:
         uniform = SaliencyGrid(np.full((n, n), 1 / n**2), normalized=True)
         rng = np.random.default_rng(12)
         other = normalized_grid(rng, n, n)
-        report = evaluate_batch([(uniform, other), (other, other)])
+        report = score([(uniform, other), (other, other)])
         assert report.cc_excluded == 1
         assert report.records[0].cc is None
         assert report.records[0].sim is not None
         assert abs(report.means["cc"] - 1.0) <= 1e-12  # only the defined pair
 
-    def test_per_image_failures_do_not_abort(self):
+    def test_per_image_failures_do_not_abort(self, tmp_path):
+        # the per-image error boundary is the CLI's file-level evaluator
         rng = np.random.default_rng(13)
         good = normalized_grid(rng, 4, 4)
         bad = SaliencyGrid(rng.random((4, 4)))  # unnormalized -> sim fails
-        report = evaluate_batch([(bad, good), (good, good)], ids=["bad", "good"])
+        (tmp_path / "pred").mkdir()
+        (tmp_path / "gt").mkdir()
+        tasks = []
+        for name, p in (("bad", bad), ("good", good)):
+            write_grid(p, tmp_path / "pred" / f"{name}.fgrd")
+            write_grid(good, tmp_path / "gt" / f"{name}.fgrd")
+            tasks.append((str(tmp_path / "pred" / f"{name}.fgrd"),
+                          str(tmp_path / "gt" / f"{name}.fgrd"), False, 32, "euclidean"))
+        report = summarize([_eval_one(t) for t in tasks], {})
         assert report.failures == 1
         assert report.records[0].error is not None
         assert report.records[1].error is None

@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from persal import CategoryMapping, Detection, DetectionSet, extract_preferences, from_ratings, pad_to_channels
+from persal import CategoryMapping, Detection, DetectionSet, extract_preferences, from_ratings
 from persal.errors import RatingOutOfRangeError, TooManySuperCategoriesError, UnmappedCategoryError
 from persal.preference import (
-    CHANNEL_CAP,
     PreferenceVector,
     default_mapping,
     load_detection_manifest,
@@ -124,23 +123,11 @@ class TestFromRatings:
             from_ratings(["x", "y"], [5])
 
 
-class TestPadToChannels:
-    def test_pads_with_zeros(self):
-        pvec = pad_to_channels(PreferenceVector(("person", "non-human"), np.array([1.0, 0.05])))
-        assert len(pvec) == CHANNEL_CAP
-        np.testing.assert_array_equal(pvec.weights[:2], [1.0, 0.05])
-        np.testing.assert_array_equal(pvec.weights[2:], np.zeros(18))
-
-    def test_full_length_identity(self):
-        pvec = PreferenceVector(tuple(f"c{i}" for i in range(20)), np.linspace(0, 1, 20))
-        assert pad_to_channels(pvec) is pvec
-
+class TestVectorValidation:
     def test_over_cap_rejected(self):
         with pytest.raises(TooManySuperCategoriesError):
             PreferenceVector(tuple(f"c{i}" for i in range(21)), np.zeros(21))
 
-
-class TestVectorValidation:
     def test_weights_outside_unit_interval(self):
         with pytest.raises(ValueError):
             PreferenceVector(("a",), np.array([1.5]))

@@ -1,86 +1,6 @@
 import numpy as np
-import pytest
 
-from persal import (
-    CategoryMapping,
-    ClassTensor,
-    Detection,
-    DetectionSet,
-    NmsConfig,
-    map_to_super,
-    nms,
-    pad_to_channels,
-    preference_map,
-    rasterize,
-)
-from persal.errors import CategoryOutOfRangeError, ChannelMismatchError
-from persal.preference import PreferenceVector
-from persal.raster import CONFIDENCE_PRESETS, DEFAULT_IOU_THRESHOLD, box_to_cells, iou
-
-
-def dset(*dets, w=300, h=300):
-    return DetectionSet(w, h, tuple(dets))
-
-
-class TestIou:
-    def test_disjoint(self):
-        assert iou((0, 0, 10, 10), (20, 20, 5, 5)) == 0.0
-
-    def test_identical(self):
-        assert iou((0, 0, 10, 10), (0, 0, 10, 10)) == 1.0
-
-    def test_half_overlap(self):
-        # boxes 10x10, shifted by 5 horizontally: inter 50, union 150
-        assert abs(iou((0, 0, 10, 10), (5, 0, 10, 10)) - 1 / 3) < 1e-12
-
-
-class TestNms:
-    def test_same_class_high_iou_keeps_strongest(self):
-        # 10x10 vs 10x10 shifted by 1: inter 90, union 110 -> IoU 0.818
-        a = Detection(0, 0.9, (0, 0, 10, 10))
-        b = Detection(0, 0.7, (1, 0, 10, 10))
-        kept = nms(dset(a, b), NmsConfig(0.5)).detections
-        assert len(kept) == 1
-        assert kept[0].score == 0.9
-
-    def test_confidence_threshold_drops(self):
-        d = Detection(0, 0.4, (0, 0, 10, 10))
-        assert nms(dset(d), NmsConfig(0.5)).detections == ()
-
-    def test_different_classes_both_kept(self):
-        a = Detection(0, 0.9, (0, 0, 10, 10))
-        b = Detection(1, 0.7, (0, 0, 10, 10))
-        assert len(nms(dset(a, b), NmsConfig(0.5)).detections) == 2
-
-    def test_output_sorted_by_confidence(self):
-        dets = [Detection(i, 0.5 + 0.1 * i, (20 * i, 0, 10, 10)) for i in range(4)]
-        kept = nms(dset(*dets), NmsConfig(0.5)).detections
-        scores = [d.score for d in kept]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(0)
-        dets = [
-            Detection(int(rng.integers(0, 3)), float(rng.uniform(0.3, 1.0)),
-                      (float(rng.uniform(0, 250)), float(rng.uniform(0, 250)), 40.0, 40.0))
-            for _ in range(20)
-        ]
-        cfg = NmsConfig(0.5)
-        once = nms(dset(*dets), cfg)
-        twice = nms(once, cfg)
-        assert once.detections == twice.detections
-
-    def test_dataset_presets(self):
-        assert CONFIDENCE_PRESETS == {"voc": 0.6, "coco": 0.5}
-        assert NmsConfig.for_dataset("voc").confidence_threshold == 0.6
-        assert NmsConfig.for_dataset("COCO").confidence_threshold == 0.5
-        assert NmsConfig.for_dataset("voc").iou_threshold == DEFAULT_IOU_THRESHOLD == 0.45
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NmsConfig(1.5)
-        with pytest.raises(ValueError):
-            NmsConfig(0.5, iou_threshold=0.0)
+from persal.raster import box_to_cells, paint_max
 
 
 class TestBoxToCells:
@@ -101,112 +21,23 @@ class TestBoxToCells:
         assert span == (0, 1, 0, 1)
 
 
-class TestRasterize:
+class TestPaintMax:
     def test_full_cover_uniform(self):
-        t = rasterize(dset(Detection(0, 0.9, (0, 0, 300, 300))))
-        np.testing.assert_array_equal(t.values[0], np.full((38, 38), 0.9))
-        assert np.count_nonzero(t.values[0]) == 1444
+        out = paint_max([(0, 0, 300, 300)], [0.9], 300, 300, 38, 38)
+        np.testing.assert_array_equal(out, np.full((38, 38), 0.9))
 
     def test_quadrant_footprint(self):
-        t = rasterize(dset(Detection(0, 0.5, (0, 0, 150, 150))))
-        nz = np.nonzero(t.values[0])
+        out = paint_max([(0, 0, 150, 150)], [0.5], 300, 300, 38, 38)
+        nz = np.nonzero(out)
         assert nz[0].max() == 18 and nz[1].max() == 18
         assert len(nz[0]) == 19 * 19
 
     def test_overlap_takes_max(self):
-        t = rasterize(dset(Detection(0, 0.6, (0, 0, 300, 300)), Detection(0, 0.8, (0, 0, 150, 150))))
-        assert t.values[0, 0, 0] == 0.8
-        assert t.values[0, 30, 30] == 0.6
+        out = paint_max([(0, 0, 300, 300), (0, 0, 150, 150)], [0.6, 0.8], 300, 300, 38, 38)
+        assert out[0, 0] == 0.8
+        assert out[30, 30] == 0.6
 
-    def test_category_out_of_range(self):
-        with pytest.raises(CategoryOutOfRangeError):
-            rasterize(dset(Detection(25, 0.9, (0, 0, 10, 10))), n_classes=20)
-
-    def test_confidence_scaling_is_exact(self):
-        rng = np.random.default_rng(1)
-        dets = [
-            Detection(0, float(rng.uniform(0.1, 0.5)),
-                      (float(rng.uniform(0, 200)), float(rng.uniform(0, 200)), 60.0, 60.0))
-            for _ in range(6)
-        ]
-        base = rasterize(dset(*dets)).values[0]
-        c = 0.5
-        scaled = rasterize(dset(*[Detection(d.category_id, d.score * c, d.box) for d in dets]))
-        np.testing.assert_array_equal(scaled.values[0], base * c)
-
-
-class TestMapToSuper:
-    MAPPING = CategoryMapping(super_names=("animal", "vehicle"), entries={0: 0, 1: 0, 2: 1})
-
-    def pvec(self, animal, vehicle):
-        return pad_to_channels(PreferenceVector(("animal", "vehicle"), np.array([animal, vehicle])))
-
-    def test_merge_and_weight(self):
-        # cat 0.9 and dog 0.6 both -> animal with weight 0.5 => 0.45
-        v = np.zeros((3, 1, 1))
-        v[0, 0, 0] = 0.9
-        v[1, 0, 0] = 0.6
-        out = map_to_super(ClassTensor(v), self.MAPPING, self.pvec(0.5, 1.0))
-        assert out.values[0, 0, 0] == 0.45
-        assert out.n_channels == 20
-
-    def test_zero_weight_blanks_channel(self):
-        v = np.ones((3, 2, 2)) * 0.7
-        out = map_to_super(ClassTensor(v), self.MAPPING, self.pvec(0.0, 1.0))
-        np.testing.assert_array_equal(out.values[0], np.zeros((2, 2)))
-
-    def test_identity_single_member(self):
-        v = np.zeros((3, 2, 2))
-        v[2] = np.array([[0.2, 0.4], [0.0, 1.0]])
-        out = map_to_super(ClassTensor(v), self.MAPPING, self.pvec(1.0, 1.0))
-        np.testing.assert_array_equal(out.values[1], v[2])
-
-    def test_requires_padded_pvec(self):
-        with pytest.raises(ChannelMismatchError):
-            map_to_super(ClassTensor(np.zeros((3, 1, 1))), self.MAPPING,
-                         PreferenceVector(("animal", "vehicle"), np.array([1.0, 1.0])))
-
-    def test_mapping_beyond_channels(self):
-        mapping = CategoryMapping(super_names=("a",), entries={5: 0})
-        with pytest.raises(ChannelMismatchError):
-            map_to_super(ClassTensor(np.zeros((3, 1, 1))), mapping, self.pvec(1.0, 1.0))
-
-    def test_catch_all_collects_unmapped_channels(self):
-        mapping = CategoryMapping(super_names=("a", "rest"), entries={0: 0}, catch_all=1)
-        v = np.zeros((2, 1, 1))
-        v[1, 0, 0] = 0.8
-        out = map_to_super(ClassTensor(v), mapping, self.pvec(1.0, 1.0))
-        assert out.values[1, 0, 0] == 0.8
-
-    def test_member_permutation_invariant(self):
-        rng = np.random.default_rng(2)
-        v = rng.uniform(0, 1, (3, 4, 4))
-        swapped = v.copy()
-        swapped[[0, 1]] = swapped[[1, 0]]  # both map to the same super category
-        a = map_to_super(ClassTensor(v), self.MAPPING, self.pvec(0.7, 0.3))
-        b = map_to_super(ClassTensor(swapped), self.MAPPING, self.pvec(0.7, 0.3))
-        np.testing.assert_array_equal(a.values, b.values)
-
-    def test_channel_bounded_by_weight(self):
-        rng = np.random.default_rng(3)
-        v = rng.uniform(0, 1, (3, 4, 4))
-        out = map_to_super(ClassTensor(v), self.MAPPING, self.pvec(0.65, 0.2))
-        assert np.all(out.values[0] <= 0.65 + 1e-15)
-        assert np.all(out.values[1] <= 0.2 + 1e-15)
-
-
-class TestPreferenceMap:
-    def test_all_zero(self):
-        out = preference_map(ClassTensor(np.zeros((4, 3, 3))))
-        np.testing.assert_array_equal(out.values, np.zeros((3, 3)))
-
-    def test_single_channel_verbatim(self):
-        v = np.zeros((4, 2, 2))
-        v[2] = np.array([[0.1, 0.2], [0.3, 0.4]])
-        np.testing.assert_array_equal(preference_map(ClassTensor(v)).values, v[2])
-
-    def test_per_cell_max(self):
-        v = np.zeros((2, 1, 1))
-        v[0, 0, 0] = 0.45
-        v[1, 0, 0] = 0.2
-        assert preference_map(ClassTensor(v)).values[0, 0] == 0.45
+    def test_empty_and_degenerate_boxes_paint_nothing(self):
+        np.testing.assert_array_equal(paint_max([], [], 300, 300, 4, 5), np.zeros((4, 5)))
+        out = paint_max([(10, 10, 0, 5), (10, 10, 5, 0)], [1.0, 1.0], 300, 300, 4, 5)
+        np.testing.assert_array_equal(out, np.zeros((4, 5)))
