@@ -1,8 +1,9 @@
 """Command-line surface tying the library into reproducible pipelines.
 
-Exit codes: 0 success, 1 validation error, 2 I/O or file-format error. Every
-run writes a run manifest next to its outputs; ``run_from_manifest`` replays
-the recorded invocation bit-for-bit.
+Exit codes: 0 success, 1 validation error, 2 I/O or file-format error (this
+includes a JSON input that lacks a required key). Each ``cmd_*`` returns its
+config and input files, or None when it wrote only to stdout, and ``main``
+writes the run manifest; ``run_from_manifest`` replays it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -62,90 +63,78 @@ def _resolve_jobs(value: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _opt(flag: str, value) -> list[str]:
-    return [] if value is None else [flag, str(value)]
+def _replay_argv(subparser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """The argv that re-runs ``args``: every option of the subcommand with its
+    resolved value, defaults included, except ``--jobs``, which decides how
+    fast a run is and never its bits."""
+    argv = [args.command]
+    for action in subparser._actions:
+        value = getattr(args, action.dest, None)
+        if value is None or action.dest == "jobs":
+            continue
+        if action.nargs == 0:
+            if value:
+                argv.append(action.option_strings[0])
+        else:
+            argv += [action.option_strings[0], str(value)]
+    return argv
+
+
+def _write_grids(out_dir: str | Path, images: list, make) -> None:
+    """Write ``make(image)`` to ``<out_dir>/<image_id>.fgrd`` for every image
+    (one without an id is named by its index in id order). All grids are made
+    before the first write, so a failing image leaves no partial directory."""
+    named = [(im.image_id or f"{i:06d}", make(im))
+             for i, im in enumerate(sorted(images, key=lambda im: im.image_id))]
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    for name, g in named:
+        gridio.write_grid(g, Path(out_dir) / f"{name}.fgrd")
 
 
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_profile(args) -> int:
-    now = args.now if args.now is not None else time.time()
-    inputs = []
+def cmd_profile(args) -> tuple[dict, list] | None:
+    if args.now is None:
+        args.now = time.time()  # resolved here so the manifest records it
     if args.ratings:
-        with open(args.ratings) as f:
-            doc = json.load(f)
-        pvec = preference.from_ratings(doc["names"], doc["ratings"])
-        inputs.append(args.ratings)
+        pvec = preference.load_ratings(args.ratings)
+        inputs = [args.ratings]
     else:
         if not args.detections:
             raise _UsageError("profile needs --detections or --ratings")
         mapping = _load_mapping(args.mapping)
         history = preference.load_detection_manifest(args.detections)
-        pvec = preference.extract_preferences(history, mapping, now, args.window_days)
-        inputs.append(args.detections)
-        if args.mapping:
-            inputs.append(args.mapping)
+        pvec = preference.extract_preferences(history, mapping, args.now, args.window_days)
+        inputs = [args.detections, args.mapping]
 
     payload = json.dumps(preference.pvec_to_dict(pvec), indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload)
-        argv = (
-            ["profile"]
-            + _opt("--detections", args.detections)
-            + _opt("--ratings", args.ratings)
-            + _opt("--mapping", args.mapping)
-            + ["--window-days", str(args.window_days), "--now", repr(now), "--out", args.out]
-        )
-        manifest.write_manifest(
-            f"{args.out}.manifest.json", "profile", argv,
-            {"window_days": args.window_days, "now": now}, inputs,
-        )
-    else:
+    if not args.out:
         sys.stdout.write(payload)
-    return 0
+        return None
+    Path(args.out).write_text(payload)
+    return {"window_days": args.window_days, "now": args.now}, inputs
 
 
-def cmd_gen_gt(args) -> int:
+def cmd_gen_gt(args) -> tuple[dict, list]:
     mapping = _load_mapping(args.mapping)
     pvec = preference.load_pvec(args.pvec)
     weights = _parse_weights(args.weights)
-    dataset = groundtruth.load_annotation_manifest(args.annotations, mapping)
-    out_dir = Path(args.out)
-
-    generated = []  # fully generate before writing anything
-    for idx, img in enumerate(sorted(dataset, key=lambda im: im.image_id)):
-        name = img.image_id or f"{idx:06d}"
-        generated.append((name, groundtruth.generate_psal(img, pvec, weights, args.res, args.res)))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, g in generated:
-        gridio.write_grid(g, out_dir / f"{name}.fgrd")
-    argv = (
-        ["gen-gt", "--annotations", args.annotations, "--pvec", args.pvec]
-        + _opt("--mapping", args.mapping)
-        + ["--weights", args.weights, "--res", str(args.res), "--out", args.out]
-    )
-    inputs = [args.annotations, args.pvec] + ([args.mapping] if args.mapping else [])
-    manifest.write_manifest(
-        out_dir / "run_manifest.json", "gen-gt", argv,
-        {"weights": list(weights.as_tuple()), "res": args.res}, inputs,
-    )
-    return 0
+    dataset, fixations = groundtruth.load_annotation_manifest(args.annotations, mapping)
+    _write_grids(args.out, dataset,
+                 lambda img: groundtruth.generate_psal(img, pvec, weights, args.res, args.res))
+    return ({"weights": list(weights.as_tuple()), "res": args.res},
+            [args.annotations, args.pvec, args.mapping, *fixations])
 
 
-def cmd_prior(args) -> int:
+def cmd_prior(args) -> tuple[dict, list]:
     paths = _sorted_grids(args.grids)
     grids = [gridio.read_grid(p) for p in paths]
-    prior = groundtruth.center_prior(grids)
-    gridio.write_grid(prior, args.out)
-    argv = ["prior", "--grids", args.grids, "--out", args.out]
-    manifest.write_manifest(f"{args.out}.manifest.json", "prior", argv,
-                            {"n_maps": len(grids)}, paths)
-    return 0
+    gridio.write_grid(groundtruth.center_prior(grids), args.out)
+    return {"n_maps": len(grids)}, paths
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args) -> tuple[dict, list]:
     cfg = baselines.BaselineConfig(
         kind=args.kind, seed=args.seed, confidence_threshold=args.threshold
     )
@@ -154,39 +143,17 @@ def cmd_baseline(args) -> int:
             raise _UsageError("center_prior baseline needs --prior")
         out = baselines.center_prior_baseline(gridio.read_grid(args.prior))
         gridio.write_grid(out, args.out)
-        argv = ["baseline", "--kind", "center_prior", "--prior", args.prior,
-                "--seed", str(args.seed), "--out", args.out]
-        manifest.write_manifest(f"{args.out}.manifest.json", "baseline", argv,
-                                {"kind": args.kind, "seed": args.seed}, [args.prior])
-        return 0
+        return {"kind": args.kind, "seed": args.seed}, [args.prior]
 
     if not args.detections or not args.pvec:
         raise _UsageError("detection baseline needs --detections and --pvec")
     mapping = _load_mapping(args.mapping)
     pvec = preference.load_pvec(args.pvec)
     sets = preference.load_detection_manifest(args.detections)
-    out_dir = Path(args.out)
-    results = []
-    for idx, ds in enumerate(sorted(sets, key=lambda s: s.image_id)):
-        name = ds.image_id or f"{idx:06d}"
-        results.append((name, baselines.detection_baseline(ds, mapping, pvec, cfg, args.res, args.res)))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, g in results:
-        gridio.write_grid(g, out_dir / f"{name}.fgrd")
-    argv = (
-        ["baseline", "--kind", "detection", "--detections", args.detections,
-         "--pvec", args.pvec]
-        + _opt("--mapping", args.mapping)
-        + ["--seed", str(args.seed), "--threshold", str(args.threshold),
-           "--res", str(args.res), "--out", args.out]
-    )
-    inputs = [args.detections, args.pvec] + ([args.mapping] if args.mapping else [])
-    manifest.write_manifest(
-        out_dir / "run_manifest.json", "baseline", argv,
-        {"kind": args.kind, "seed": args.seed, "threshold": args.threshold, "res": args.res},
-        inputs,
-    )
-    return 0
+    _write_grids(args.out, sets,
+                 lambda ds: baselines.detection_baseline(ds, mapping, pvec, cfg, args.res, args.res))
+    return ({"kind": args.kind, "seed": args.seed, "threshold": args.threshold, "res": args.res},
+            [args.detections, args.pvec, args.mapping])
 
 
 def _normalized(g: SaliencyGrid, image_id: str, role: str) -> SaliencyGrid:
@@ -212,7 +179,7 @@ def _eval_one(task) -> metrics.PairResult:
         return metrics.PairResult(image_id=image_id, error=f"{type(exc).__name__}: {exc}")
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[dict, list]:
     pred_paths = {p.name: p for p in _sorted_grids(args.pred)}
     gt_paths = {p.name: p for p in _sorted_grids(args.gt)}
     names = sorted(set(pred_paths) & set(gt_paths))
@@ -267,28 +234,20 @@ def cmd_eval(args) -> int:
     with open(out_dir / "aggregate.json", "w") as f:
         json.dump(aggregate, f, indent=2, sort_keys=True)
         f.write("\n")
-    argv = ["eval", "--pred", args.pred, "--gt", args.gt, "--out", args.out,
-            "--emd-res", str(args.emd_res), "--distance", args.distance, "--jobs", "1"]
-    if args.normalize:
-        argv.append("--normalize")
-    manifest.write_manifest(
-        out_dir / "run_manifest.json", "eval", argv, report.config,
-        [pred_paths[n] for n in names] + [gt_paths[n] for n in names],
-    )
-    return 0
+    return report.config, [pred_paths[n] for n in names] + [gt_paths[n] for n in names]
 
 
-def cmd_tune(args) -> int:
+def cmd_tune(args) -> tuple[dict, list]:
     mapping = _load_mapping(args.mapping)
     pvec = preference.load_pvec(args.pvec)
-    dataset = sorted(groundtruth.load_annotation_manifest(args.annotations, mapping),
-                     key=lambda im: im.image_id)
+    dataset, fixations = groundtruth.load_annotation_manifest(args.annotations, mapping)
+    dataset.sort(key=lambda im: im.image_id)
     label_paths = {p.stem: p for p in _sorted_grids(args.labels)}
-    labels = []
     for img in dataset:
         if img.image_id not in label_paths:
             raise _UsageError(f"no label grid for image {img.image_id!r} in {args.labels}")
-        labels.append(gridio.read_grid(label_paths[img.image_id]))
+    used_labels = [label_paths[img.image_id] for img in dataset]
+    labels = [gridio.read_grid(p) for p in used_labels]
 
     spec = tuning.SweepSpec(
         alpha_grid=_parse_grid_list(args.alpha_grid),
@@ -315,27 +274,14 @@ def cmd_tune(args) -> int:
             writer.writerow([sweep_name, repr(c.weights.alpha), repr(c.weights.beta),
                              repr(c.weights.gamma), repr(c.mean_cc), repr(c.mean_sim),
                              repr(c.objective), int(c.failed)])
-    argv = (
-        ["tune", "--annotations", args.annotations, "--pvec", args.pvec,
-         "--labels", args.labels]
-        + _opt("--mapping", args.mapping)
-        + ["--mode", args.mode, "--alpha-grid", args.alpha_grid,
-           "--ratio-grid", args.ratio_grid, "--fixed-alpha", str(args.fixed_alpha),
-           "--fixed-ratio", str(args.fixed_ratio), "--out", args.out]
-    )
-    inputs = [args.annotations, args.pvec] + ([args.mapping] if args.mapping else [])
-    manifest.write_manifest(f"{args.out}.manifest.json", "tune", argv,
-                            {"best": best, "mode": args.mode}, inputs)
     print(json.dumps({"best": best}))
-    return 0
+    return ({"best": best, "mode": args.mode},
+            [args.annotations, args.pvec, args.mapping, *fixations, *used_labels])
 
 
-def cmd_convert(args) -> int:
-    g = gridio.read_grid(args.input)
-    gridio.export_pgm(g, args.out)
-    argv = ["convert", "--in", args.input, "--out", args.out]
-    manifest.write_manifest(f"{args.out}.manifest.json", "convert", argv, {}, [args.input])
-    return 0
+def cmd_convert(args) -> tuple[dict, list]:
+    gridio.export_pgm(gridio.read_grid(args.input), args.out)
+    return {}, [args.input]
 
 
 # --- parser / dispatch ---------------------------------------------------------
@@ -344,6 +290,7 @@ def cmd_convert(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="persal", description="Personalized saliency toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser, for the manifest argv
 
     p = sub.add_parser("profile", help="build a preference vector")
     p.add_argument("--detections", help="detection manifest JSON")
@@ -416,7 +363,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:
+            config, inputs = result
+            out = Path(args.out)
+            manifest.write_manifest(
+                out / "run_manifest.json" if out.is_dir() else f"{args.out}.manifest.json",
+                args.command, _replay_argv(parser.commands[args.command], args), config,
+                [p for p in inputs if p is not None],  # None: an optional input left unset
+            )
+        return 0
     except (PersalIOError, OSError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

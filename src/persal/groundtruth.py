@@ -7,9 +7,11 @@ on a known [0, 1] scale regardless of how the source annotations were stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import gridio, preference
 from .errors import DimMismatchError, EmptyListError
 from .grid import SaliencyGrid, minmax_normalize, resample, softmax_normalize
 from .preference import CategoryMapping, DetectionSet, PreferenceVector
@@ -78,36 +80,18 @@ def generate_psal(
     return softmax_normalize(minmax_normalize(SaliencyGrid(blend)))
 
 
-def load_annotation_manifest(path, mapping: CategoryMapping) -> list[AnnotatedImage]:
-    """Read an annotation manifest: detection-manifest records plus a
-    ``fixation_grid`` FGRD path per image, resolved relative to the manifest."""
-    import json
-    from pathlib import Path
-
-    from .gridio import read_grid
-    from .preference import Detection
-
+def load_annotation_manifest(path: str | Path,
+                             mapping: CategoryMapping) -> tuple[list[AnnotatedImage], list[Path]]:
+    """Read an annotation manifest: detection-manifest records (score
+    defaulting to 1) plus a ``fixation_grid`` FGRD path per image, resolved
+    relative to the manifest. Returns the images and the fixation-grid paths."""
     base = Path(path).parent
-    with open(path) as f:
-        doc = json.load(f)
-    out = []
-    for rec in doc:
-        dets = tuple(
-            Detection(int(d["category_id"]), float(d.get("score", 1.0)),
-                      tuple(float(v) for v in d["bbox"]))
-            for d in rec.get("detections", [])
-        )
-        boxes = DetectionSet(
-            image_w=int(rec["width"]),
-            image_h=int(rec["height"]),
-            detections=dets,
-            timestamp=rec.get("timestamp"),
-            image_id=str(rec.get("image_id", "")),
-        )
-        sal = read_grid(base / rec["fixation_grid"])
-        out.append(AnnotatedImage(sal=sal, boxes=boxes, mapping=mapping,
-                                  image_id=boxes.image_id))
-    return out
+    images, fixations = [], []
+    for boxes, rec, where in preference.detection_records(path, default_score=1.0):
+        fixations.append(base / preference.field(rec, "fixation_grid", where))
+        images.append(AnnotatedImage(sal=gridio.read_grid(fixations[-1]), boxes=boxes,
+                                     mapping=mapping, image_id=boxes.image_id))
+    return images, fixations
 
 
 def center_prior(sals: list[SaliencyGrid]) -> SaliencyGrid:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    PersalIOError,
     RatingOutOfRangeError,
     TooManySuperCategoriesError,
     UnmappedCategoryError,
@@ -152,13 +153,23 @@ def from_ratings(names: list[str], ratings: list[int]) -> PreferenceVector:
 
 # --- JSON plumbing -----------------------------------------------------------
 
+def field(doc, key: str, where):
+    """``doc[key]`` of a JSON object; a missing key or a value that is not an
+    object is a :class:`PersalIOError` naming ``where`` and the key."""
+    if not isinstance(doc, dict):
+        raise PersalIOError(f"{where}: expected an object with {key!r}, got {type(doc).__name__}")
+    if key not in doc:
+        raise PersalIOError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
 def load_mapping(path: str | Path) -> CategoryMapping:
     """Read a mapping config: {super_categories, map, catch_all?}."""
     with open(path) as f:
         doc = json.load(f)
-    entries = {int(k): int(v) for k, v in doc["map"].items()}
+    entries = {int(k): int(v) for k, v in field(doc, "map", path).items()}
     return CategoryMapping(
-        super_names=tuple(doc["super_categories"]),
+        super_names=tuple(field(doc, "super_categories", path)),
         entries=entries,
         catch_all=doc.get("catch_all"),
     )
@@ -169,32 +180,50 @@ def default_mapping() -> CategoryMapping:
     return load_mapping(Path(__file__).parent / "data" / "coco12_mapping.json")
 
 
-def load_detection_manifest(path: str | Path) -> list[DetectionSet]:
-    """Read a detection manifest: a JSON array of per-image records."""
+def detection_records(path: str | Path,
+                      default_score: float | None = None) -> list[tuple[DetectionSet, dict, str]]:
+    """Parse a JSON array of per-image records into (detection set, record,
+    the record's name in errors: file, index and image id) triples. A detection
+    without a ``score`` takes ``default_score``; with None it must have one."""
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, list):
+        raise PersalIOError(f"{path}: expected an array of per-image records")
     out = []
-    for rec in doc:
-        dets = tuple(
-            Detection(int(d["category_id"]), float(d["score"]), tuple(float(v) for v in d["bbox"]))
-            for d in rec.get("detections", [])
-        )
-        out.append(
-            DetectionSet(
-                image_w=int(rec["width"]),
-                image_h=int(rec["height"]),
-                detections=dets,
-                timestamp=rec.get("timestamp"),
-                image_id=str(rec.get("image_id", "")),
-            )
-        )
+    for i, rec in enumerate(doc):
+        where = f"{path}: record {i}"
+        if isinstance(rec, dict) and "image_id" in rec:
+            where += f" (image {rec['image_id']!r})"
+        image_w, image_h = int(field(rec, "width", where)), int(field(rec, "height", where))
+        dets = []
+        for j, d in enumerate(rec.get("detections", [])):
+            at = f"{where}, detection {j}"
+            category, bbox = int(field(d, "category_id", at)), field(d, "bbox", at)
+            score = field(d, "score", at) if default_score is None else d.get("score", default_score)
+            dets.append(Detection(category, float(score), tuple(float(v) for v in bbox)))
+        boxes = DetectionSet(image_w, image_h, tuple(dets), timestamp=rec.get("timestamp"),
+                             image_id=str(rec.get("image_id", "")))
+        out.append((boxes, rec, where))
     return out
+
+
+def load_detection_manifest(path: str | Path) -> list[DetectionSet]:
+    """Read a detection manifest: a JSON array of per-image records."""
+    return [boxes for boxes, _, _ in detection_records(path)]
 
 
 def load_pvec(path: str | Path) -> PreferenceVector:
     with open(path) as f:
         doc = json.load(f)
-    return PreferenceVector(tuple(doc["names"]), np.asarray(doc["weights"], dtype=np.float64))
+    return PreferenceVector(tuple(field(doc, "names", path)),
+                            np.asarray(field(doc, "weights", path), dtype=np.float64))
+
+
+def load_ratings(path: str | Path) -> PreferenceVector:
+    """Read manual ratings {names, ratings} and turn them into weights."""
+    with open(path) as f:
+        doc = json.load(f)
+    return from_ratings(field(doc, "names", path), field(doc, "ratings", path))
 
 
 def save_pvec(pvec: PreferenceVector, path: str | Path) -> None:

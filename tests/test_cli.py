@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 import scipy
 
 import persal
-from persal import SaliencyGrid, read_grid, transport, write_grid
-from persal.cli import _resolve_jobs, main, run_from_manifest
+from persal import SaliencyGrid, cli, read_grid, transport, write_grid
+from persal.cli import _resolve_jobs, build_parser, main, run_from_manifest
 from persal.manifest import read_manifest
 from synth import fixation_map
 
@@ -348,6 +349,104 @@ class TestConvert:
         assert read_manifest(f"{out}.manifest.json")["command"] == "convert"
 
 
+class TestReplay:
+    """Every command's manifest re-runs it bit-identically, and its argv parses
+    back to the run's resolved arguments, ``--jobs`` aside."""
+
+    CASES = ["profile", "gen-gt", "prior", "baseline-center-prior", "baseline-detection",
+             "eval", "tune", "convert"]
+
+    @staticmethod
+    def invocation(tmp_path, case):
+        ws = make_workspace(tmp_path)
+        t = str(tmp_path)
+        common = ["--pvec", ws["pvec"], "--mapping", ws["mapping"]]
+        detection = ["baseline", "--kind", "detection", "--detections", ws["detections"],
+                     *common, "--seed", "5", "--res", "8", "--out"]
+        assert main(["gen-gt", "--annotations", ws["annotations"], *common, "--res", "8",
+                     "--out", f"{t}/gt"]) == 0
+        assert main([*detection, f"{t}/pred"]) == 0
+        assert main(["prior", "--grids", ws["fix_dir"], "--out", f"{t}/prior.fgrd"]) == 0
+        recent = write_json(tmp_path / "recent.json", [
+            {"image_id": "a", "width": 100, "height": 100, "timestamp": time.time() - DAY,
+             "detections": [{"category_id": 1, "score": 0.5, "bbox": [0, 0, 10, 10]}]}])
+        return {
+            # --now omitted: the run resolves it and the manifest records it
+            "profile": ["profile", "--detections", recent, "--mapping", ws["mapping"],
+                        "--out", f"{t}/out.json"],
+            "gen-gt": ["gen-gt", "--annotations", ws["annotations"], *common, "--res", "8",
+                       "--out", f"{t}/out"],
+            "prior": ["prior", "--grids", ws["fix_dir"], "--out", f"{t}/out.fgrd"],
+            "baseline-center-prior": ["baseline", "--kind", "center_prior",
+                                      "--prior", f"{t}/prior.fgrd", "--out", f"{t}/out.fgrd"],
+            "baseline-detection": [*detection, f"{t}/out"],
+            "eval": ["eval", "--pred", f"{t}/pred", "--gt", f"{t}/gt", "--out", f"{t}/out",
+                     "--emd-res", "8", "--jobs", "2", "--normalize"],
+            "tune": ["tune", "--annotations", ws["annotations"], *common, "--labels", f"{t}/gt",
+                     "--alpha-grid", "0.02,0.06", "--ratio-grid", "0.7,0.8",
+                     "--out", f"{t}/out.csv"],
+            "convert": ["convert", "--in", f"{t}/prior.fgrd", "--out", f"{t}/out.pgm"],
+        }[case]
+
+    @staticmethod
+    def outputs(tmp_path):
+        return {str(p): p.read_bytes() for p in sorted(tmp_path.rglob("*"))
+                if p.is_file() and p.relative_to(tmp_path).parts[0].startswith("out")}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_manifest_replays_bit_identically(self, tmp_path, monkeypatch, case):
+        argv = self.invocation(tmp_path, case)
+        seen = []
+        name = f"cmd_{argv[0].replace('-', '_')}"
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or real(args))
+        assert main(argv) == 0
+
+        before = self.outputs(tmp_path)
+        [manifest_path] = [p for p in before if p.endswith("manifest.json")]
+        recorded = read_manifest(manifest_path)["argv"]
+        assert "--jobs" not in recorded
+        assert ("--now" in recorded) == (case == "profile")
+        replayed = vars(build_parser().parse_args(recorded))
+        resolved = vars(seen[0])
+        assert {k: v for k, v in replayed.items() if k != "jobs"} == \
+               {k: v for k, v in resolved.items() if k != "jobs"}
+
+        for p in before:
+            if p != manifest_path:
+                Path(p).unlink()
+        assert run_from_manifest(manifest_path) == 0
+        assert self.outputs(tmp_path) == before
+
+
+class TestManifestInputs:
+    def test_rewritten_fixation_grid_changes_gen_gt_inputs(self, tmp_path):
+        ws = make_workspace(tmp_path)
+        out = tmp_path / "gt"
+        argv = ["gen-gt", "--annotations", ws["annotations"], "--pvec", ws["pvec"],
+                "--mapping", ws["mapping"], "--res", "8", "--out", str(out)]
+        assert main(argv) == 0
+        before = read_manifest(out / "run_manifest.json")["inputs"]
+        fixation = tmp_path / "fix" / "img001.fgrd"
+        write_grid(SaliencyGrid(np.random.default_rng(9).random((8, 8))), fixation)
+        assert main(argv) == 0
+        after = read_manifest(out / "run_manifest.json")["inputs"]
+        assert {k for k in after if before.get(k) != after[k]} == {str(fixation)}
+
+    def test_tune_records_fixation_and_label_grids(self, tmp_path):
+        ws = make_workspace(tmp_path)
+        labels = tmp_path / "labels"
+        common = ["--annotations", ws["annotations"], "--pvec", ws["pvec"],
+                  "--mapping", ws["mapping"]]
+        assert main(["gen-gt", *common, "--res", "8", "--out", str(labels)]) == 0
+        out = tmp_path / "sweep.csv"
+        assert main(["tune", *common, "--labels", str(labels), "--mode", "alpha",
+                     "--alpha-grid", "0.06", "--out", str(out)]) == 0
+        inputs = set(read_manifest(f"{out}.manifest.json")["inputs"])
+        grids = {str(p) for d in (tmp_path / "fix", labels) for p in d.glob("*.fgrd")}
+        assert len(grids) == 6 and grids <= inputs
+
+
 class TestExitCodes:
     def test_missing_input_file_is_io_error(self, tmp_path):
         assert main(["profile", "--detections", str(tmp_path / "nope.json")]) == 2
@@ -356,6 +455,54 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["profile", "--detections", str(bad)]) == 2
+
+    @pytest.mark.parametrize("record, message", [
+        ({"image_id": "a", "height": 10}, "record 0 (image 'a'): missing key 'width'"),
+        ({"image_id": "a", "width": 10, "height": 10,
+          "detections": [{"category_id": 0, "bbox": [0, 0, 1, 1]}]},
+         "record 0 (image 'a'), detection 0: missing key 'score'"),
+        (5, "record 0: expected an object with 'width', got int"),
+    ])
+    def test_malformed_detection_record_is_named_io_error(self, tmp_path, capsys, record,
+                                                          message):
+        dets = write_json(tmp_path / "d.json", [record])
+        assert main(["profile", "--detections", dets, "--now", "0"]) == 2
+        assert f"{dets}: {message}" in capsys.readouterr().err
+
+    def test_malformed_annotation_record_is_named_io_error(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        records = json.loads(Path(ws["annotations"]).read_text())
+        for rec in records:  # ground-truth boxes need no score
+            for d in rec["detections"]:
+                del d["score"]
+        base = ["gen-gt", "--annotations", ws["annotations"], "--pvec", ws["pvec"],
+                "--mapping", ws["mapping"], "--res", "8", "--out", str(tmp_path / "gt")]
+        write_json(Path(ws["annotations"]), records)
+        assert main(base) == 0
+        del records[1]["fixation_grid"]
+        write_json(Path(ws["annotations"]), records)
+        assert main(base) == 2
+        assert (f"{ws['annotations']}: record 1 (image 'img001'): missing key 'fixation_grid'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag, doc, message", [
+        ("--pvec", {"names": ["preferred", "other"]}, "missing key 'weights'"),
+        ("--mapping", {"super_categories": ["preferred", "other"]}, "missing key 'map'"),
+        ("--pvec", [1.0, 0.3], "expected an object with 'names', got list"),
+    ])
+    def test_json_input_without_required_key_is_named_io_error(self, tmp_path, capsys, flag,
+                                                                doc, message):
+        ws = make_workspace(tmp_path)
+        bad = ws[flag[2:]] = write_json(tmp_path / "bad.json", doc)
+        assert main(["baseline", "--kind", "detection", "--detections", ws["detections"],
+                     "--pvec", ws["pvec"], "--mapping", ws["mapping"],
+                     "--out", str(tmp_path / "pred")]) == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
+    def test_ratings_without_required_key_is_named_io_error(self, tmp_path, capsys):
+        ratings = write_json(tmp_path / "r.json", {"names": ["a", "b"]})
+        assert main(["profile", "--ratings", ratings]) == 2
+        assert f"{ratings}: missing key 'ratings'" in capsys.readouterr().err
 
     def test_corrupt_grid_is_io_error(self, tmp_path):
         d = tmp_path / "grids"
