@@ -6,8 +6,10 @@ the center prior, both comparison baselines, the four-metric evaluation suite
 blend-weight tuning sweep.
 """
 
+__version__ = "0.1.0"
+
 from .baselines import BaselineConfig, center_prior_baseline, detection_baseline
-from .grid import GridStats, SaliencyGrid, minmax_normalize, resample, softmax_normalize, stats
+from .grid import SaliencyGrid, minmax_normalize, resample, softmax_normalize
 from .gridio import export_pgm, read_grid, write_grid
 from .groundtruth import AnnotatedImage, GtWeights, center_prior, generate_psal, pmap
 from .metrics import (
@@ -39,7 +41,6 @@ __all__ = [
     "Detection",
     "DetectionSet",
     "FlowPlan",
-    "GridStats",
     "GtWeights",
     "MetricReport",
     "PairResult",
@@ -66,7 +67,6 @@ __all__ = [
     "resample",
     "sim",
     "softmax_normalize",
-    "stats",
     "summarize",
     "sweep_alpha",
     "sweep_ratio",

@@ -1,9 +1,10 @@
 """Command-line surface tying the library into reproducible pipelines.
 
 Exit codes: 0 success, 1 validation error, 2 I/O or file-format error (this
-includes a JSON input that lacks a required key). Each ``cmd_*`` returns its
-config and input files, or None when it wrote only to stdout, and ``main``
-writes the run manifest; ``run_from_manifest`` replays it bit-for-bit.
+includes a JSON input that lacks a required key or holds a value of the wrong
+kind). Each ``cmd_*`` returns its config and input files, or None when it
+wrote only to stdout, and ``main`` writes the run manifest;
+``run_from_manifest`` replays it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import baselines, groundtruth, gridio, manifest, metrics, preference, tuning
@@ -57,16 +57,14 @@ def _sorted_grids(directory: str | Path) -> list[Path]:
 def _resolve_jobs(value: int | None) -> int:
     if value is not None:
         return max(1, value)
-    env = os.environ.get("PERSAL_JOBS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
 def _replay_argv(subparser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
     """The argv that re-runs ``args``: every option of the subcommand with its
     resolved value, defaults included, except ``--jobs``, which decides how
-    fast a run is and never its bits."""
+    fast a run is and never its bits. A value that begins with ``-`` is
+    written as ``--flag=value``, since argparse would read it as a flag."""
     argv = [args.command]
     for action in subparser._actions:
         value = getattr(args, action.dest, None)
@@ -76,7 +74,8 @@ def _replay_argv(subparser: argparse.ArgumentParser, args: argparse.Namespace) -
             if value:
                 argv.append(action.option_strings[0])
         else:
-            argv += [action.option_strings[0], str(value)]
+            flag, text = action.option_strings[0], str(value)
+            argv += [f"{flag}={text}"] if text.startswith("-") else [flag, text]
     return argv
 
 
@@ -200,6 +199,7 @@ def cmd_eval(args) -> tuple[dict, list]:
     ]
     jobs = _resolve_jobs(args.jobs)
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept out of start-up
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             try:
                 records = list(pool.map(_eval_one, tasks))
@@ -335,7 +335,7 @@ def build_parser() -> _Parser:
     p.add_argument("--distance", choices=["euclidean", "manhattan"], default="euclidean")
     p.add_argument("--normalize", action="store_true",
                    help="divide each grid by its sum before scoring")
-    p.add_argument("--jobs", type=int, help="worker processes (default: PERSAL_JOBS or CPU count)")
+    p.add_argument("--jobs", type=int, help="worker processes (default: CPU count)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("tune", help="sweep ground-truth blend weights")

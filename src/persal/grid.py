@@ -54,15 +54,6 @@ class SaliencyGrid:
         return self.values.shape
 
 
-@dataclass(frozen=True)
-class GridStats:
-    min: float
-    max: float
-    sum: float
-    mean: float
-    stddev: float  # population
-
-
 def minmax_normalize(g: SaliencyGrid) -> SaliencyGrid:
     """Affine-rescale values to [0, 1].
 
@@ -78,13 +69,9 @@ def minmax_normalize(g: SaliencyGrid) -> SaliencyGrid:
     return SaliencyGrid((v - lo) / (hi - lo))
 
 
-def softmax_normalize(g: SaliencyGrid, scale: float = 1.0) -> SaliencyGrid:
-    """Map the grid to a strictly positive probability distribution.
-
-    ``scale`` is an optional temperature-like multiplier applied before the
-    exponential (default 1, i.e. the plain softmax).
-    """
-    v = g.values * scale
+def softmax_normalize(g: SaliencyGrid) -> SaliencyGrid:
+    """Map the grid to a strictly positive probability distribution."""
+    v = g.values
     e = np.exp(v - v.max())  # shift for numerical stability; cancels in the ratio
     e /= e.sum()
     return SaliencyGrid(e, normalized=True)
@@ -119,17 +106,6 @@ def _bilinear(v: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     top = v[np.ix_(y0, x0)] * (1 - fx) + v[np.ix_(y0, x1)] * fx
     bot = v[np.ix_(y1, x0)] * (1 - fx) + v[np.ix_(y1, x1)] * fx
     return top * (1 - fy) + bot * fy
-
-
-def stats(g: SaliencyGrid) -> GridStats:
-    v = g.values
-    return GridStats(
-        min=float(v.min()),
-        max=float(v.max()),
-        sum=float(v.sum()),
-        mean=float(v.mean()),
-        stddev=float(v.std()),
-    )
 
 
 def require_same_shape(p: SaliencyGrid, q: SaliencyGrid) -> None:

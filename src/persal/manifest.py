@@ -3,36 +3,31 @@
 Every CLI run writes one next to its outputs. Re-running from a manifest
 replays the stored argv (with all defaults already resolved), which together
 with seeded randomness makes outputs bit-for-bit reproducible on the same
-solver backend and NumPy/SciPy versions, which the manifest records too. No
-timestamps are recorded, so the manifest itself is deterministic as well.
+solver backend, NumPy/SciPy versions and ``persal.__version__``, which the
+manifest records too. No timestamps are recorded, so the manifest itself is
+deterministic as well, however persal was installed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import transport
-
-
-def tool_version() -> str:
-    try:
-        return metadata.version("persal")
-    except metadata.PackageNotFoundError:
-        return "unknown"
+from . import __version__, transport
 
 
 def environment() -> dict:
-    """What decides the EMD bits besides the inputs. SciPy's version is read
-    from its package metadata: importing it would slow every command down."""
+    """What decides the EMD bits besides the inputs. SciPy is imported here,
+    so that ``import persal.cli`` does not load it."""
+    import scipy
+
     return {
         "solver_backend": transport.BACKEND,
         "numpy": np.__version__,
-        "scipy": metadata.version("scipy"),
+        "scipy": scipy.__version__,
     }
 
 
@@ -53,7 +48,7 @@ def write_manifest(
 ) -> None:
     doc = {
         "tool": "persal",
-        "tool_version": tool_version(),
+        "tool_version": __version__,
         "command": command,
         "argv": list(argv),
         "config": config,

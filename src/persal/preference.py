@@ -153,21 +153,53 @@ def from_ratings(names: list[str], ratings: list[int]) -> PreferenceVector:
 
 # --- JSON plumbing -----------------------------------------------------------
 
-def field(doc, key: str, where):
-    """``doc[key]`` of a JSON object; a missing key or a value that is not an
-    object is a :class:`PersalIOError` naming ``where`` and the key."""
+def _only(*types):
+    """The conversion that keeps a value of ``types``, never a bool."""
+    def keep(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError
+        return value
+    return keep
+
+
+def _box(value) -> tuple[float, float, float, float]:
+    x, y, w, h = map(float, value)  # ValueError unless there are exactly four
+    return x, y, w, h
+
+
+# kinds for ``field``: (what the value must be, a conversion raising TypeError or ValueError)
+INT = ("an integer", int)
+NUMBER = ("a number", float)
+OBJECT = ("an object", _only(dict))
+ARRAY = ("an array", _only(list))
+BOX = ("4 numbers", _box)
+NUMBER_OR_NULL = ("a number or null", _only(int, float, type(None)))
+
+
+def field(doc, key: str, where, kind=None, default=...):
+    """``doc[key]`` of a JSON object, converted by ``kind``, or ``default`` if
+    one is given and the key is absent. No object, no key or a value of the
+    wrong kind is a :class:`PersalIOError` naming ``where`` and the key."""
     if not isinstance(doc, dict):
         raise PersalIOError(f"{where}: expected an object with {key!r}, got {type(doc).__name__}")
     if key not in doc:
-        raise PersalIOError(f"{where}: missing key {key!r}")
-    return doc[key]
+        if default is ...:
+            raise PersalIOError(f"{where}: missing key {key!r}")
+        return default
+    if kind is None:
+        return doc[key]
+    what, convert = kind
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError):
+        raise PersalIOError(f"{where}: {key!r} must be {what}, got {doc[key]!r}") from None
 
 
 def load_mapping(path: str | Path) -> CategoryMapping:
     """Read a mapping config: {super_categories, map, catch_all?}."""
     with open(path) as f:
         doc = json.load(f)
-    entries = {int(k): int(v) for k, v in field(doc, "map", path).items()}
+    entries = {int(k): int(v) for k, v in field(doc, "map", path, OBJECT).items()}
     return CategoryMapping(
         super_names=tuple(field(doc, "super_categories", path)),
         entries=entries,
@@ -181,10 +213,10 @@ def default_mapping() -> CategoryMapping:
 
 
 def detection_records(path: str | Path,
-                      default_score: float | None = None) -> list[tuple[DetectionSet, dict, str]]:
+                      default_score: float = ...) -> list[tuple[DetectionSet, dict, str]]:
     """Parse a JSON array of per-image records into (detection set, record,
     the record's name in errors: file, index and image id) triples. A detection
-    without a ``score`` takes ``default_score``; with None it must have one."""
+    without a ``score`` takes ``default_score``; without one it must have one."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, list):
@@ -194,14 +226,15 @@ def detection_records(path: str | Path,
         where = f"{path}: record {i}"
         if isinstance(rec, dict) and "image_id" in rec:
             where += f" (image {rec['image_id']!r})"
-        image_w, image_h = int(field(rec, "width", where)), int(field(rec, "height", where))
+        image_w, image_h = field(rec, "width", where, INT), field(rec, "height", where, INT)
         dets = []
-        for j, d in enumerate(rec.get("detections", [])):
+        for j, d in enumerate(field(rec, "detections", where, ARRAY, default=[])):
             at = f"{where}, detection {j}"
-            category, bbox = int(field(d, "category_id", at)), field(d, "bbox", at)
-            score = field(d, "score", at) if default_score is None else d.get("score", default_score)
-            dets.append(Detection(category, float(score), tuple(float(v) for v in bbox)))
-        boxes = DetectionSet(image_w, image_h, tuple(dets), timestamp=rec.get("timestamp"),
+            dets.append(Detection(field(d, "category_id", at, INT),
+                                  field(d, "score", at, NUMBER, default_score),
+                                  field(d, "bbox", at, BOX)))
+        boxes = DetectionSet(image_w, image_h, tuple(dets),
+                             timestamp=field(rec, "timestamp", where, NUMBER_OR_NULL, None),
                              image_id=str(rec.get("image_id", "")))
         out.append((boxes, rec, where))
     return out
@@ -224,12 +257,6 @@ def load_ratings(path: str | Path) -> PreferenceVector:
     with open(path) as f:
         doc = json.load(f)
     return from_ratings(field(doc, "names", path), field(doc, "ratings", path))
-
-
-def save_pvec(pvec: PreferenceVector, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump(pvec_to_dict(pvec), f, indent=2)
-        f.write("\n")
 
 
 def pvec_to_dict(pvec: PreferenceVector) -> dict:

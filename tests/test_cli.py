@@ -299,6 +299,11 @@ class TestEval:
         assert env["numpy"] == np.__version__
         assert env["scipy"] == scipy.__version__
 
+    def test_manifest_records_package_version(self, tmp_path):
+        rc, out = self.run_identity_eval(tmp_path)
+        assert rc == 0
+        assert read_manifest(out / "run_manifest.json")["tool_version"] == persal.__version__
+
     def test_no_matching_names(self, tmp_path):
         pred = tmp_path / "pred"
         gt = tmp_path / "gtdir"
@@ -419,6 +424,17 @@ class TestReplay:
         assert self.outputs(tmp_path) == before
 
 
+class TestReplayDashValue:
+    def test_value_beginning_with_dash_replays(self, tmp_path, monkeypatch):
+        ws = make_workspace(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["prior", "--grids", ws["fix_dir"], "--out=-x.fgrd"]) == 0
+        before = Path("-x.fgrd").read_bytes()
+        Path("-x.fgrd").unlink()
+        assert run_from_manifest("-x.fgrd.manifest.json") == 0
+        assert Path("-x.fgrd").read_bytes() == before
+
+
 class TestManifestInputs:
     def test_rewritten_fixation_grid_changes_gen_gt_inputs(self, tmp_path):
         ws = make_workspace(tmp_path)
@@ -462,6 +478,15 @@ class TestExitCodes:
           "detections": [{"category_id": 0, "bbox": [0, 0, 1, 1]}]},
          "record 0 (image 'a'), detection 0: missing key 'score'"),
         (5, "record 0: expected an object with 'width', got int"),
+        ({"image_id": "a", "width": 10, "height": 10, "detections": 3},
+         "record 0 (image 'a'): 'detections' must be an array, got 3"),
+        ({"image_id": "a", "width": 10, "height": 10, "timestamp": "yesterday"},
+         "record 0 (image 'a'): 'timestamp' must be a number or null, got 'yesterday'"),
+        ({"image_id": "a", "width": 10, "height": 10,
+          "detections": [{"category_id": 0, "score": 0.5, "bbox": [0, 0, 1]}]},
+         "record 0 (image 'a'), detection 0: 'bbox' must be 4 numbers, got [0, 0, 1]"),
+        ({"image_id": "a", "width": "ten", "height": 10},
+         "record 0 (image 'a'): 'width' must be an integer, got 'ten'"),
     ])
     def test_malformed_detection_record_is_named_io_error(self, tmp_path, capsys, record,
                                                           message):
@@ -489,6 +514,8 @@ class TestExitCodes:
         ("--pvec", {"names": ["preferred", "other"]}, "missing key 'weights'"),
         ("--mapping", {"super_categories": ["preferred", "other"]}, "missing key 'map'"),
         ("--pvec", [1.0, 0.3], "expected an object with 'names', got list"),
+        ("--mapping", {"super_categories": ["preferred", "other"], "map": [[1, 0]]},
+         "'map' must be an object, got [[1, 0]]"),
     ])
     def test_json_input_without_required_key_is_named_io_error(self, tmp_path, capsys, flag,
                                                                 doc, message):
@@ -531,21 +558,18 @@ class TestJobsResolution:
         assert _resolve_jobs(3) == 3
         assert _resolve_jobs(0) == 1
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("PERSAL_JOBS", "7")
-        assert _resolve_jobs(None) == 7
-
-    def test_default_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("PERSAL_JOBS", raising=False)
+    def test_default_cpu_count(self):
         assert _resolve_jobs(None) >= 1
 
 
 class TestStartup:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        # the solver imports it on first use; at start-up it would cost every
-        # command about 0.5 s
+        # the solver imports scipy.optimize on first use; at start-up it would
+        # cost every command about 0.5 s. The manifest imports scipy, and eval
+        # the process pool, only when they run; importlib.metadata is not used.
         src = str(Path(persal.__file__).resolve().parents[1])
-        code = "import sys, persal.cli; print('scipy.optimize' in sys.modules)"
+        code = ("import sys, persal.cli; print([m for m in ('scipy.optimize', 'scipy', "
+                "'importlib.metadata', 'concurrent.futures') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from persal import SaliencyGrid, minmax_normalize, resample, softmax_normalize, stats
+from persal import SaliencyGrid, minmax_normalize, resample, softmax_normalize
 from persal.errors import ConstantGridWarning, ZeroDimError
 
 E = np.e
@@ -79,12 +79,6 @@ class TestSoftmaxNormalize:
         assert np.all(out > 0)
         assert np.all(np.argsort(out.ravel()) == np.argsort(g.values.ravel()))
 
-    def test_scale_parameter(self):
-        g = grid([[0.0, 1.0]])
-        sharp = softmax_normalize(g, scale=10.0).values
-        plain = softmax_normalize(g).values
-        assert sharp[0, 1] > plain[0, 1]
-
 
 class TestResample:
     def test_identity_dims_bitwise(self):
@@ -123,20 +117,6 @@ class TestResample:
         rng = np.random.default_rng(4)
         out = resample(SaliencyGrid(rng.random((9, 9))), 25, 13)
         assert np.all(out.values >= 0)
-
-
-class TestStats:
-    def test_min_max_mean(self):
-        s = stats(grid([[0.0, 1.0]]))
-        assert (s.min, s.max, s.mean) == (0.0, 1.0, 0.5)
-
-    def test_constant_stddev_zero(self):
-        assert stats(grid([[3.0, 3.0], [3.0, 3.0]])).stddev == 0.0
-
-    def test_population_stddev(self):
-        s = stats(grid([[1.0, 2.0, 3.0, 4.0]]))
-        assert s.mean == 2.5
-        assert abs(s.stddev - 1.118033988749895) <= 1e-12
 
 
 class TestPipelineInvariance:

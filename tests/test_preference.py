@@ -11,7 +11,7 @@ from persal.preference import (
     load_detection_manifest,
     load_mapping,
     load_pvec,
-    save_pvec,
+    pvec_to_dict,
 )
 
 DAY = 86400.0
@@ -161,7 +161,7 @@ class TestJsonPlumbing:
     def test_pvec_roundtrip(self, tmp_path):
         pvec = PreferenceVector(("x", "y"), np.array([0.25, 1.0]))
         path = tmp_path / "p.json"
-        save_pvec(pvec, path)
+        path.write_text(json.dumps(pvec_to_dict(pvec)))
         back = load_pvec(path)
         assert back.names == pvec.names
         np.testing.assert_array_equal(back.weights, pvec.weights)
