@@ -54,27 +54,37 @@ class SaliencyGrid:
         return self.values.shape
 
 
-def minmax_normalize(g: SaliencyGrid) -> SaliencyGrid:
-    """Affine-rescale values to [0, 1].
+def minmax_rows(v: np.ndarray) -> np.ndarray:
+    """Affine-rescale each row (last axis) of ``v`` to [0, 1].
 
-    A constant grid has no defined rescale; it maps to all zeros and emits a
-    :class:`ConstantGridWarning` so batch pipelines stay total.
+    A constant row has no defined rescale; it maps to all zeros, and a call
+    with any such row emits one :class:`ConstantGridWarning`.
     """
-    v = g.values
-    lo = float(v.min())
-    hi = float(v.max())
-    if hi == lo:
-        warnings.warn("constant grid in min-max normalization, returning zeros", ConstantGridWarning)
-        return SaliencyGrid(np.zeros_like(v))
-    return SaliencyGrid((v - lo) / (hi - lo))
+    lo = v.min(axis=-1, keepdims=True)
+    span = v.max(axis=-1, keepdims=True) - lo
+    flat = span == 0
+    if not flat.any():
+        return (v - lo) / span
+    warnings.warn("constant grid in min-max normalization, returning zeros", ConstantGridWarning)
+    return np.where(flat, 0.0, (v - lo) / np.where(flat, 1.0, span))
+
+
+def softmax_rows(v: np.ndarray) -> np.ndarray:
+    """Each row (last axis) of ``v`` as a strictly positive distribution."""
+    e = np.exp(v - v.max(axis=-1, keepdims=True))  # shift for stability; cancels in the ratio
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def minmax_normalize(g: SaliencyGrid) -> SaliencyGrid:
+    """Affine-rescale values to [0, 1]; a constant grid maps to all zeros with
+    a :class:`ConstantGridWarning`, so batch pipelines stay total."""
+    return SaliencyGrid(minmax_rows(g.values.reshape(1, -1)).reshape(g.shape))
 
 
 def softmax_normalize(g: SaliencyGrid) -> SaliencyGrid:
     """Map the grid to a strictly positive probability distribution."""
-    v = g.values
-    e = np.exp(v - v.max())  # shift for numerical stability; cancels in the ratio
-    e /= e.sum()
-    return SaliencyGrid(e, normalized=True)
+    return SaliencyGrid(softmax_rows(g.values.reshape(1, -1)).reshape(g.shape), normalized=True)
 
 
 def resample(g: SaliencyGrid, new_h: int, new_w: int) -> SaliencyGrid:

@@ -2,10 +2,13 @@
 
 The blend runs on a min-max-normalized fixation map so the three weights act
 on a known [0, 1] scale regardless of how the source annotations were stored.
+:func:`blend` is the one definition of it: ``gen-gt`` applies it to one
+weight triple per image, the ``tune`` sweep to all its candidates at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,7 +16,7 @@ import numpy as np
 
 from . import gridio, preference
 from .errors import DimMismatchError, EmptyListError
-from .grid import SaliencyGrid, minmax_normalize, resample, softmax_normalize
+from .grid import SaliencyGrid, minmax_normalize, minmax_rows, resample, softmax_rows
 from .preference import CategoryMapping, DetectionSet, PreferenceVector
 from .raster import GRID_SIZE, paint_max
 
@@ -29,6 +32,8 @@ class GtWeights:
     gamma: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ValueError(f"weights must be finite, got {self.as_tuple()!r}")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ValueError("weights must be nonnegative")
         if abs(self.alpha + self.beta + self.gamma - 1.0) > WEIGHT_SUM_TOL:
@@ -62,6 +67,28 @@ def pmap(
                                   img.boxes.image_w, img.boxes.image_h, grid_h, grid_w))
 
 
+def blend_inputs(
+    img: AnnotatedImage,
+    pvec: PreferenceVector,
+    grid_h: int = GRID_SIZE,
+    grid_w: int = GRID_SIZE,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The image's blend inputs at ``grid_h`` x ``grid_w``, flattened row-major:
+    SAL, the fixation map resampled and min-max normalized, and the preference
+    map. They depend on the image alone, not on the blend weights."""
+    sal = minmax_rows(resample(img.sal, grid_h, grid_w).values.reshape(1, -1))[0]
+    return sal, pmap(img, pvec, grid_h, grid_w).values.ravel()
+
+
+def blend(sal: np.ndarray, pm: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """softmax(minmax(alpha*SAL + beta*SAL.pMap + gamma*pMap)) for every row
+    (alpha, beta, gamma) of the (K, 3) ``weights``, on the flattened inputs of
+    :func:`blend_inputs`; row k of the (K, h*w) result is candidate k's
+    distribution."""
+    alpha, beta, gamma = weights.T[:, :, None]
+    return softmax_rows(minmax_rows(alpha * sal + beta * sal * pm + gamma * pm))
+
+
 def generate_psal(
     img: AnnotatedImage,
     pvec: PreferenceVector,
@@ -69,15 +96,11 @@ def generate_psal(
     grid_h: int = GRID_SIZE,
     grid_w: int = GRID_SIZE,
 ) -> SaliencyGrid:
-    """Blend fixations with the preference map and normalize to a distribution.
-
-    output = softmax(minmax(alpha*SAL + beta*SAL.pMap + gamma*pMap)) with SAL
-    itself min-max normalized first.
-    """
-    sal = minmax_normalize(resample(img.sal, grid_h, grid_w)).values
-    pm = pmap(img, pvec, grid_h, grid_w).values
-    blend = w.alpha * sal + w.beta * sal * pm + w.gamma * pm
-    return softmax_normalize(minmax_normalize(SaliencyGrid(blend)))
+    """Blend fixations with the preference map and normalize to a distribution
+    (:func:`blend` with one weight triple)."""
+    sal, pm = blend_inputs(img, pvec, grid_h, grid_w)
+    out = blend(sal, pm, np.array([w.as_tuple()]))
+    return SaliencyGrid(out.reshape(grid_h, grid_w), normalized=True)
 
 
 def load_annotation_manifest(path: str | Path,

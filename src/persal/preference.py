@@ -10,6 +10,7 @@ the category sums.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,6 +73,8 @@ class PreferenceVector:
             raise TooManySuperCategoriesError(
                 f"{len(w)} super categories exceed the channel cap of {CHANNEL_CAP}"
             )
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"preference weights must be finite, got {w.tolist()!r}")
         if np.any(w < 0) or np.any(w > 1):
             raise ValueError("preference weights must lie in [0, 1]")
         w = w.copy()
@@ -162,16 +165,37 @@ def _only(*types):
     return keep
 
 
+def _array_of(*types):
+    """The conversion that keeps an array whose items are all of ``types``."""
+    keep = _only(*types)
+    return lambda value: [keep(v) for v in _only(list)(value)]
+
+
+def _finite_numbers(value) -> list:
+    values = _array_of(int, float)(value)
+    if not all(map(math.isfinite, values)):
+        raise ValueError
+    return values
+
+
 def _box(value) -> tuple[float, float, float, float]:
     x, y, w, h = map(float, value)  # ValueError unless there are exactly four
     return x, y, w, h
 
 
+def _int_map(value) -> dict[int, int]:
+    return {int(k): int(v) for k, v in _only(dict)(value).items()}
+
+
 # kinds for ``field``: (what the value must be, a conversion raising TypeError or ValueError)
 INT = ("an integer", int)
+INT_OR_NULL = ("an integer or null", lambda v: v if v is None else int(v))
 NUMBER = ("a number", float)
 OBJECT = ("an object", _only(dict))
 ARRAY = ("an array", _only(list))
+STRINGS = ("an array of strings", _array_of(str))
+FINITE_NUMBERS = ("an array of finite numbers", _finite_numbers)
+INT_MAP = ("an object of integer ids to integers", _int_map)
 BOX = ("4 numbers", _box)
 NUMBER_OR_NULL = ("a number or null", _only(int, float, type(None)))
 
@@ -199,11 +223,11 @@ def load_mapping(path: str | Path) -> CategoryMapping:
     """Read a mapping config: {super_categories, map, catch_all?}."""
     with open(path) as f:
         doc = json.load(f)
-    entries = {int(k): int(v) for k, v in field(doc, "map", path, OBJECT).items()}
+    field(doc, "map", path, OBJECT)  # not an object at all, before its entries
     return CategoryMapping(
-        super_names=tuple(field(doc, "super_categories", path)),
-        entries=entries,
-        catch_all=doc.get("catch_all"),
+        super_names=tuple(field(doc, "super_categories", path, STRINGS)),
+        entries=field(doc, "map", path, INT_MAP),
+        catch_all=field(doc, "catch_all", path, INT_OR_NULL, None),
     )
 
 
@@ -248,15 +272,17 @@ def load_detection_manifest(path: str | Path) -> list[DetectionSet]:
 def load_pvec(path: str | Path) -> PreferenceVector:
     with open(path) as f:
         doc = json.load(f)
-    return PreferenceVector(tuple(field(doc, "names", path)),
-                            np.asarray(field(doc, "weights", path), dtype=np.float64))
+    names = field(doc, "names", path, STRINGS)
+    weights = field(doc, "weights", path, FINITE_NUMBERS)
+    return PreferenceVector(tuple(names), np.asarray(weights, dtype=np.float64))
 
 
 def load_ratings(path: str | Path) -> PreferenceVector:
     """Read manual ratings {names, ratings} and turn them into weights."""
     with open(path) as f:
         doc = json.load(f)
-    return from_ratings(field(doc, "names", path), field(doc, "ratings", path))
+    return from_ratings(field(doc, "names", path, STRINGS),
+                        field(doc, "ratings", path, FINITE_NUMBERS))
 
 
 def pvec_to_dict(pvec: PreferenceVector) -> dict:

@@ -4,6 +4,11 @@ Two one-dimensional sweeps, scored by mean CC + mean SIM against reference
 labels: first the fixation weight alpha with the beta:gamma ratio fixed, then
 the beta fraction with alpha fixed. Ties break toward smaller alpha, then
 larger beta.
+
+Each sweep reads every image once: the blend inputs and the label's centred
+values depend on the image alone, so all candidates of the sweep are blended
+and scored together as one (K, h*w) array, with the same floating-point steps
+as ``generate_psal``, ``cc`` and ``sim`` on one candidate at a time.
 """
 
 from __future__ import annotations
@@ -13,11 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfRangeError, ZeroVarianceError
-from .grid import SaliencyGrid
-from .groundtruth import AnnotatedImage, GtWeights, generate_psal
-from .metrics import cc, sim
+from .errors import NotNormalizedError, OutOfRangeError
+from .grid import NORM_TOL, SaliencyGrid
+from .groundtruth import AnnotatedImage, GtWeights, blend, blend_inputs
+from .metrics import SUM_TOL
 from .preference import PreferenceVector
+
+# Not used by the sweep: perfbench/tracer.py wraps these names in this module,
+# so they stay importable from here until the tracer stops wrapping them.
+from .groundtruth import generate_psal  # noqa: F401
+from .metrics import cc, sim  # noqa: F401
 
 DEFAULT_ALPHA_GRID = (0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.14, 0.20)
 DEFAULT_RATIO_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -71,31 +81,67 @@ def final_weights(alpha: float, beta_fraction: float) -> GtWeights:
     return GtWeights(float(a), float(beta), float(gamma))
 
 
-def _score_candidate(
+def _score_candidates(
     dataset: list[AnnotatedImage],
     labels: list[SaliencyGrid],
     pvec: PreferenceVector,
-    weights: GtWeights,
-) -> Candidate:
-    try:
-        cc_vals = []
-        sim_vals = []
-        for img, label in zip(dataset, labels):
-            generated = generate_psal(img, pvec, weights, label.height, label.width)
-            try:
-                c = cc(generated, label)
-            except ZeroVarianceError:
-                continue  # excluded pairwise from both terms
-            cc_vals.append(c)
-            sim_vals.append(sim(generated, label))
-        if not cc_vals:
-            raise ZeroVarianceError("no image produced a defined CC score")
-        mean_cc = float(np.mean(cc_vals))
-        mean_sim = float(np.mean(sim_vals))
-        return Candidate(weights, mean_cc, mean_sim, mean_cc + mean_sim)
-    except Exception as exc:  # noqa: BLE001 - a failed candidate must not kill the sweep
-        return Candidate(weights, float("nan"), float("nan"), float("-inf"),
-                         failed=True, error=f"{type(exc).__name__}: {exc}")
+    weights: list[GtWeights],
+) -> list[Candidate]:
+    """Mean CC and SIM of each candidate over the images where its CC is
+    defined, in image order. An error on an image fails every candidate it
+    reaches (all of them, if the image's inputs fail) with the error's text."""
+    k, n = len(weights), len(dataset)
+    triples = np.array([w.as_tuple() for w in weights])
+    ccs, sims = np.zeros((k, n)), np.zeros((k, n))
+    defined = np.zeros((k, n), dtype=bool)
+    errors: list[str | None] = [None] * k
+    for i, (img, label) in enumerate(zip(dataset, labels)):
+        live = np.flatnonzero([e is None for e in errors])
+        if not live.size:
+            break
+        failures: dict[int, Exception] = {}  # row of g -> why that candidate failed
+        try:
+            sal, pm = blend_inputs(img, pvec, label.height, label.width)
+            g = blend(sal, pm, triples[live])
+            # a generated grid is a distribution to NORM_TOL (SaliencyGrid's
+            # check), so sim's looser SUM_TOL check on it cannot fail after
+            mass = g.sum(axis=1)
+            off = np.abs(mass - 1.0) > NORM_TOL
+            for r in np.flatnonzero(off):
+                failures[r] = ValueError(f"normalized flag set but pixel-sum is {mass[r]!r}")
+            # CC is undefined, and the image left out, where either grid is constant
+            q = label.values.ravel()
+            a = g - g.mean(axis=1, keepdims=True)
+            b = q - q.mean()
+            sa = np.sqrt((a * a).mean(axis=1))
+            sb = float(np.sqrt((b * b).mean()))
+            ok = (sa != 0.0) & (sb != 0.0) & ~off
+            q_mass = float(q.sum())
+            if ok.any() and abs(q_mass - 1.0) > SUM_TOL:
+                for r in np.flatnonzero(ok):
+                    failures[r] = NotNormalizedError(f"q has pixel-sum {q_mass}, expected 1")
+                ok[:] = False
+            rows = live[ok]
+            ccs[rows, i] = np.clip((a[ok] * b).mean(axis=1) / (sa[ok] * sb), -1.0, 1.0)
+            sims[rows, i] = np.minimum(g[ok], q).sum(axis=1)
+            defined[rows, i] = True
+        except Exception as exc:  # noqa: BLE001 - an image error fails candidates, not the sweep
+            failures = dict.fromkeys(range(live.size), exc)
+        for r, exc in failures.items():
+            errors[live[r]] = f"{type(exc).__name__}: {exc}"
+
+    candidates = []
+    for j, w in enumerate(weights):
+        if errors[j] is None and not defined[j].any():
+            errors[j] = "ZeroVarianceError: no image produced a defined CC score"
+        if errors[j] is not None:
+            candidates.append(Candidate(w, float("nan"), float("nan"), float("-inf"),
+                                        failed=True, error=errors[j]))
+            continue
+        mean_cc = float(np.mean(ccs[j, defined[j]]))
+        mean_sim = float(np.mean(sims[j, defined[j]]))
+        candidates.append(Candidate(w, mean_cc, mean_sim, mean_cc + mean_sim))
+    return candidates
 
 
 def _pick_best(candidates: list[Candidate]) -> GtWeights:
@@ -113,10 +159,8 @@ def sweep_alpha(
     spec: SweepSpec,
 ) -> SweepResult:
     """Vary alpha over the grid with the beta:gamma split fixed."""
-    candidates = [
-        _score_candidate(dataset, labels, pvec, final_weights(a, spec.fixed_ratio))
-        for a in spec.alpha_grid
-    ]
+    candidates = _score_candidates(
+        dataset, labels, pvec, [final_weights(a, spec.fixed_ratio) for a in spec.alpha_grid])
     return SweepResult(tuple(candidates), _pick_best(candidates))
 
 
@@ -127,8 +171,6 @@ def sweep_ratio(
     spec: SweepSpec,
 ) -> SweepResult:
     """Vary the beta fraction over the grid with alpha fixed."""
-    candidates = [
-        _score_candidate(dataset, labels, pvec, final_weights(spec.fixed_alpha, f))
-        for f in spec.ratio_grid
-    ]
+    candidates = _score_candidates(
+        dataset, labels, pvec, [final_weights(spec.fixed_alpha, f) for f in spec.ratio_grid])
     return SweepResult(tuple(candidates), _pick_best(candidates))

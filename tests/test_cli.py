@@ -526,6 +526,64 @@ class TestExitCodes:
                      "--out", str(tmp_path / "pred")]) == 2
         assert f"{bad}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, doc, message", [
+        ("--pvec", {"names": ["preferred", "other"], "weights": "zz"},
+         "'weights' must be an array of finite numbers, got 'zz'"),
+        ("--pvec", {"names": ["preferred", "other"], "weights": [float("nan"), 0.3]},
+         "'weights' must be an array of finite numbers, got [nan, 0.3]"),
+        ("--pvec", {"names": ["preferred", "other", "unused"], "weights": [1.0, 0.3, float("nan")]},
+         "'weights' must be an array of finite numbers, got [1.0, 0.3, nan]"),
+        ("--pvec", {"names": "ab", "weights": [1.0, 0.3]},
+         "'names' must be an array of strings, got 'ab'"),
+        ("--mapping", {"super_categories": "xy", "map": {"0": 0, "1": 1}},
+         "'super_categories' must be an array of strings, got 'xy'"),
+        ("--mapping", {"super_categories": ["preferred", "other"], "map": {"0": 0, "1": 1},
+                       "catch_all": "one"},
+         "'catch_all' must be an integer or null, got 'one'"),
+        ("--mapping", {"super_categories": ["preferred", "other"], "map": {"x": 0}},
+         "'map' must be an object of integer ids to integers, got {'x': 0}"),
+    ], ids=["pvec-weights-string", "pvec-weight-nan", "pvec-unused-weight-nan",
+            "pvec-names-string", "mapping-names-string", "mapping-catch-all-string",
+            "mapping-id-not-integer"])
+    def test_json_value_of_wrong_kind_is_named_io_error(self, tmp_path, capsys, flag, doc,
+                                                        message):
+        ws = make_workspace(tmp_path)
+        bad = ws[flag[2:]] = write_json(tmp_path / "bad.json", doc)
+        assert main(["baseline", "--kind", "detection", "--detections", ws["detections"],
+                     "--pvec", ws["pvec"], "--mapping", ws["mapping"],
+                     "--out", str(tmp_path / "pred")]) == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-gt", "tune"])
+    def test_nan_preference_weight_is_named_before_any_work(self, tmp_path, capsys, command):
+        ws = make_workspace(tmp_path)
+        main(["gen-gt", "--annotations", ws["annotations"], "--pvec", ws["pvec"],
+              "--mapping", ws["mapping"], "--out", str(tmp_path / "labels")])
+        bad = write_json(tmp_path / "bad.json", {"names": ["preferred", "other"],
+                                                 "weights": [float("nan"), 0.3]})
+        extra = ["--labels", str(tmp_path / "labels")] if command == "tune" else []
+        out = tmp_path / ("s.csv" if command == "tune" else "gt")
+        assert main([command, "--annotations", ws["annotations"], "--pvec", bad,
+                     "--mapping", ws["mapping"], *extra, "--out", str(out)]) == 2
+        assert f"{bad}: 'weights' must be an array of finite numbers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_blend_weights_are_named(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        assert main(["gen-gt", "--annotations", ws["annotations"], "--pvec", ws["pvec"],
+                     "--mapping", ws["mapping"], "--weights", "nan,0.5,0.5",
+                     "--out", str(tmp_path / "gt")]) == 1
+        assert "weights must be finite, got (nan, 0.5, 0.5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratings, message", [
+        (["x", 3], "'ratings' must be an array of finite numbers, got ['x', 3]"),
+        (3, "'ratings' must be an array of finite numbers, got 3"),
+    ], ids=["item-string", "not-array"])
+    def test_ratings_of_wrong_kind_are_named_io_error(self, tmp_path, capsys, ratings, message):
+        path = write_json(tmp_path / "r.json", {"names": ["a", "b"], "ratings": ratings})
+        assert main(["profile", "--ratings", path]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     def test_ratings_without_required_key_is_named_io_error(self, tmp_path, capsys):
         ratings = write_json(tmp_path / "r.json", {"names": ["a", "b"]})
         assert main(["profile", "--ratings", ratings]) == 2

@@ -45,6 +45,11 @@ class TestGtWeights:
         with pytest.raises(ValueError):
             GtWeights(0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("weights", [(float("nan"), 0.5, 0.5), (0.0, float("inf"), 0.0)])
+    def test_non_finite_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            GtWeights(*weights)
+
 
 class TestPmap:
     def test_no_boxes_zero_grid(self):

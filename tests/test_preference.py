@@ -132,6 +132,10 @@ class TestVectorValidation:
         with pytest.raises(ValueError):
             PreferenceVector(("a",), np.array([1.5]))
 
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            PreferenceVector(("a", "b"), np.array([0.5, np.nan]))
+
     def test_clamps_boxes_to_image(self):
         ds = DetectionSet(100, 100, (Detection(0, 0.5, (-10.0, 90.0, 30.0, 30.0)),))
         x, y, w, h = ds.detections[0].box

@@ -4,7 +4,7 @@ import pytest
 from persal import GtWeights, SaliencyGrid, final_weights, generate_psal, sweep_alpha, sweep_ratio
 from persal.errors import OutOfRangeError
 from persal.preference import PreferenceVector
-from persal.tuning import SweepSpec, _score_candidate
+from persal.tuning import SweepSpec, _score_candidates
 from synth import random_annotated, two_cat_mapping
 
 MAPPING = two_cat_mapping()
@@ -110,7 +110,7 @@ class TestClosedLoopRecovery:
         dataset, _ = closed_loop_data(2, seed=9)
         rng = np.random.default_rng(9)
         bad = [SaliencyGrid(rng.random((38, 38))) for _ in dataset]
-        c = _score_candidate(dataset, bad, PVEC, GEN_WEIGHTS)
+        [c] = _score_candidates(dataset, bad, PVEC, [GEN_WEIGHTS])
         assert c.failed
         assert c.error and "NotNormalized" in c.error
         assert c.objective == float("-inf")
