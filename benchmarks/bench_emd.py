@@ -1,4 +1,4 @@
-"""Time the exact EMD, whose cost is the HiGHS transportation solve.
+"""Time the exact EMD, whose cost is the network-simplex transportation solve.
 
 Usage: python3 benchmarks/bench_emd.py [--sizes 8,16,24,32] [--repeats 3]
 
@@ -12,7 +12,8 @@ Two pairs per EMD resolution:
   scores. Both are 38x38 grids, downsampled to the resolution by ``emd``.
 
 Each row gives the best of ``--repeats`` runs of ``emd`` on one fixed pair and
-the size S x T of the residual transportation problem that was solved.
+the size S x T of the residual transportation problem that was solved. The
+transport kernel is compiled, or loaded from its cache, before any timing.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    transport.solve_transport(np.ones(1), np.ones(1), np.ones((1, 1)))  # import scipy untimed
+    transport.solve_transport(np.ones(1), np.ones(1), np.ones((1, 1)))  # load the kernel untimed
     print(f"backend: {transport.BACKEND}")
     print(f"{'grid':>6} {'pair':>10} {'S x T':>9} {'seconds':>9}")
     realistic = realistic_pair()

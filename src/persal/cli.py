@@ -200,9 +200,15 @@ def cmd_eval(args) -> tuple[dict, list]:
     jobs = _resolve_jobs(args.jobs)
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # kept out of start-up
+        from concurrent.futures.process import BrokenProcessPool
+        records = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             try:
-                records = list(pool.map(_eval_one, tasks))
+                for record in pool.map(_eval_one, tasks):
+                    records.append(record)
+            except BrokenProcessPool:  # a crash in a worker, e.g. in the transport kernel
+                unfinished = ", ".join(Path(n).stem for n in names[len(records):][:jobs])
+                raise PersalError(f"a worker process died while scoring {unfinished}") from None
             except BaseException:  # a file error ends the run: drop the queued pairs
                 pool.shutdown(cancel_futures=True)
                 raise

@@ -3,9 +3,10 @@
 Every CLI run writes one next to its outputs. Re-running from a manifest
 replays the stored argv (with all defaults already resolved), which together
 with seeded randomness makes outputs bit-for-bit reproducible on the same
-solver backend, NumPy/SciPy versions and ``persal.__version__``, which the
-manifest records too. No timestamps are recorded, so the manifest itself is
-deterministic as well, however persal was installed.
+solver backend, transport kernel source, NumPy version and
+``persal.__version__``, which the manifest records too. No timestamps are
+recorded, so the manifest itself is deterministic as well, however persal was
+installed.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ from . import __version__, transport
 
 
 def environment() -> dict:
-    """What decides the EMD bits besides the inputs. SciPy is imported here,
-    so that ``import persal.cli`` does not load it."""
-    import scipy
-
+    """What decides the EMD bits besides the inputs."""
     return {
         "solver_backend": transport.BACKEND,
+        "solver_kernel_sha256": transport.kernel_sha256(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 

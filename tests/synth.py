@@ -73,3 +73,16 @@ def normalized_grid(rng: np.random.Generator, h: int, w: int) -> SaliencyGrid:
     """Random strictly positive distribution (pixel-sum exactly renormalized)."""
     v = rng.random((h, w)) + 1e-3
     return SaliencyGrid(v / v.sum(), normalized=True)
+
+
+def tiny_cell_triple() -> list[SaliencyGrid]:
+    """Unit-mass 4x4 grids p, q, r on which HiGHS-IPM raised "Solve error"
+    for emd(q, r), while emd(p, q) and emd(p, r) solved: q holds one cell of
+    1.83e-9, and the residual problem's dummy sink 1.1e-16 of rounding."""
+    e = 4.940986207940986e-08
+    q = np.array([[0, 4, 0, 1], [4, 4, 4, 0], [0, 0, 4, e], [4, 2, 0, 0]], dtype=np.float64)
+    p = np.zeros((4, 4))
+    p[3, 3] = 1.0
+    r = np.zeros((4, 4))
+    r[0, 3] = r[2, 0] = r[2, 1] = 1.0 / 3.0
+    return [SaliencyGrid(p), SaliencyGrid(q / q.sum()), SaliencyGrid(r)]

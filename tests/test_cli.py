@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import persal
 from persal import SaliencyGrid, cli, read_grid, transport, write_grid
@@ -210,6 +209,24 @@ class TestEval:
         assert rc == rc2 == 0
         assert (out2 / "per_image.csv").read_text() == serial
 
+    def test_dead_worker_is_a_named_error(self, tmp_path, monkeypatch, capsys):
+        # a crash in the transport kernel kills its worker process, as this
+        # stand-in does; the run names the images it left unscored
+        rng = np.random.default_rng(6)
+        for d in ("pred", "gtdir"):
+            (tmp_path / d).mkdir()
+            for name in ("a", "b", "c"):
+                write_grid(SaliencyGrid(rng.random((4, 4))), tmp_path / d / f"{name}.fgrd")
+        real = cli.metrics.evaluate_pair
+        monkeypatch.setattr(cli.metrics, "evaluate_pair", lambda p, q, image_id, **kw: (
+            os._exit(1) if image_id == "b" else real(p, q, image_id, **kw)))
+        assert main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gtdir"),
+                     "--out", str(tmp_path / "report"), "--jobs", "2", "--normalize"]) == 1
+        err = capsys.readouterr().err
+        assert err in ("error: a worker process died while scoring a, b\n",
+                       "error: a worker process died while scoring b, c\n"), err
+        assert not (tmp_path / "report").exists()
+
     def test_dim_mismatch_fails_before_writing(self, tmp_path):
         pred = tmp_path / "pred"
         gt = tmp_path / "gtdir"
@@ -295,9 +312,10 @@ class TestEval:
         rc, out = self.run_identity_eval(tmp_path)
         assert rc == 0
         env = read_manifest(out / "run_manifest.json")["environment"]
-        assert env["solver_backend"] == transport.BACKEND
-        assert env["numpy"] == np.__version__
-        assert env["scipy"] == scipy.__version__
+        # scipy decides no bit any more, so it is not recorded
+        assert env == {"solver_backend": transport.BACKEND,
+                       "solver_kernel_sha256": transport.kernel_sha256(),
+                       "numpy": np.__version__}
 
     def test_manifest_records_package_version(self, tmp_path):
         rc, out = self.run_identity_eval(tmp_path)
@@ -622,12 +640,32 @@ class TestJobsResolution:
 
 class TestStartup:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        # the solver imports scipy.optimize on first use; at start-up it would
-        # cost every command about 0.5 s. The manifest imports scipy, and eval
-        # the process pool, only when they run; importlib.metadata is not used.
+        # no runtime code uses scipy (scipy.optimize alone took about 0.5 s to
+        # import); eval loads the process pool only when it runs, and
+        # importlib.metadata is not used.
         src = str(Path(persal.__file__).resolve().parents[1])
         code = ("import sys, persal.cli; print([m for m in ('scipy.optimize', 'scipy', "
                 "'importlib.metadata', 'concurrent.futures') if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_eval_run_loads_no_scipy(self, tmp_path):
+        # the transport kernel replaced the scipy LP: a whole eval, solves
+        # and manifest included, imports no scipy module
+        rng = np.random.default_rng(8)
+        for d in ("pred", "gt"):
+            (tmp_path / d).mkdir()
+            for name in ("a", "b"):
+                write_grid(SaliencyGrid(rng.random((6, 6))), tmp_path / d / f"{name}.fgrd")
+        src = str(Path(persal.__file__).resolve().parents[1])
+        code = ("import sys; from persal.cli import main; rc = main(sys.argv[1:]); "
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code, "eval", "--pred", str(tmp_path / "pred"),
+                              "--gt", str(tmp_path / "gt"), "--out", str(tmp_path / "report"),
+                              "--jobs", "1", "--normalize"],
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "0 []"
+        counts = json.loads((tmp_path / "report" / "aggregate.json").read_text())["counts"]
+        assert counts["failures"] == 0
