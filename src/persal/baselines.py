@@ -36,14 +36,14 @@ def center_prior_baseline(prior: SaliencyGrid) -> SaliencyGrid:
     s = float(prior.values.sum())
     if s <= 0:
         raise ZeroMassError("center prior has zero mass")
-    return SaliencyGrid(prior.values / s, normalized=True)
+    return SaliencyGrid(prior.values / s)
 
 
 def random_fallback_grid(seed: int, grid_h: int, grid_w: int) -> SaliencyGrid:
     """Seeded i.i.d. uniform(0,1) grid normalized to pixel-sum 1."""
     rng = np.random.Generator(np.random.PCG64(seed))
     v = rng.random((grid_h, grid_w))
-    return SaliencyGrid(v / v.sum(), normalized=True)
+    return SaliencyGrid(v / v.sum())
 
 
 def detection_baseline(
@@ -65,4 +65,4 @@ def detection_baseline(
     mass = out.sum()
     if mass <= 0:  # all kept detections carry zero weight; same story as no detections
         return random_fallback_grid(cfg.seed, grid_h, grid_w)
-    return SaliencyGrid(out / mass, normalized=True)
+    return SaliencyGrid(out / mass)

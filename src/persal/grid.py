@@ -1,8 +1,10 @@
 """Saliency grid container and the normalization / resampling primitives.
 
-All operations are pure: they never mutate their inputs and return fresh
-grids. Values are kept as float64 internally; file serialization narrows to
-float32 (see :mod:`persal.gridio`).
+:class:`SaliencyGrid` is the type at the file and API edge, and checks its
+values once, on construction; internal steps run on the ndarray kernels
+(``minmax_rows``, ``softmax_rows``, ``bilinear``) that the grid functions wrap.
+Nothing mutates its inputs. Values are float64 internally; file serialization
+narrows them to float32 (see :mod:`persal.gridio`).
 """
 
 from __future__ import annotations
@@ -14,18 +16,12 @@ import numpy as np
 
 from .errors import ConstantGridWarning, DimMismatchError, ZeroDimError
 
-NORM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SaliencyGrid:
-    """2-D nonnegative float grid, optionally a probability distribution.
-
-    ``normalized=True`` asserts the pixel-sum is 1 within 1e-9.
-    """
+    """2-D, finite, nonnegative float grid (a read-only float64 copy)."""
 
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -35,8 +31,6 @@ class SaliencyGrid:
             raise ValueError("grid values must be finite")
         if np.any(v < 0):
             raise ValueError("grid values must be nonnegative")
-        if self.normalized and abs(float(v.sum()) - 1.0) > NORM_TOL:
-            raise ValueError(f"normalized flag set but pixel-sum is {v.sum()!r}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -84,27 +78,22 @@ def minmax_normalize(g: SaliencyGrid) -> SaliencyGrid:
 
 def softmax_normalize(g: SaliencyGrid) -> SaliencyGrid:
     """Map the grid to a strictly positive probability distribution."""
-    return SaliencyGrid(softmax_rows(g.values.reshape(1, -1)).reshape(g.shape), normalized=True)
+    return SaliencyGrid(softmax_rows(g.values.reshape(1, -1)).reshape(g.shape))
 
 
 def resample(g: SaliencyGrid, new_h: int, new_w: int) -> SaliencyGrid:
-    """Bilinear resampling with half-pixel-center alignment.
+    """Bilinear resampling with half-pixel-center alignment (:func:`bilinear`)."""
+    return SaliencyGrid(bilinear(g.values, new_h, new_w))
 
-    Normalized inputs are re-normalized to pixel-sum 1 after interpolation.
-    """
+
+def bilinear(v: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
+    """The 2-D array ``v`` resampled bilinearly to ``new_h`` x ``new_w`` with
+    half-pixel-center alignment; ``v`` itself when the shape is unchanged."""
     if new_h < 1 or new_w < 1:
         raise ZeroDimError(f"target dims must be >= 1, got {new_h}x{new_w}")
-    v = g.values
-    if (new_h, new_w) == v.shape:
-        return SaliencyGrid(v, normalized=g.normalized)
-    out = _bilinear(v, new_h, new_w)
-    if g.normalized:
-        out /= out.sum()
-    return SaliencyGrid(out, normalized=g.normalized)
-
-
-def _bilinear(v: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     h, w = v.shape
+    if (new_h, new_w) == (h, w):
+        return v
     ys = (np.arange(new_h) + 0.5) * (h / new_h) - 0.5
     xs = (np.arange(new_w) + 0.5) * (w / new_w) - 0.5
     y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.intp)

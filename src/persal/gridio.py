@@ -53,11 +53,8 @@ def read_shape(path: str | Path) -> tuple[int, int]:
 
 
 def read_grid(path: str | Path) -> SaliencyGrid:
-    """Read an FGRD file; the checksum is always enforced.
-
-    The normalized flag is not stored: float32 rounding perturbs pixel sums,
-    so callers re-check sums where normalization matters.
-    """
+    """Read an FGRD file; the checksum is always enforced. Float32 rounding
+    perturbs pixel sums, so callers re-check sums where they matter."""
     with open(path, "rb") as f:
         data = f.read()
     h, w = _parse_header(data, path)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gridio, preference
 from .errors import DimMismatchError, EmptyListError
-from .grid import SaliencyGrid, minmax_normalize, minmax_rows, resample, softmax_rows
+from .grid import SaliencyGrid, bilinear, minmax_rows, softmax_rows
 from .preference import CategoryMapping, DetectionSet, PreferenceVector
 from .raster import GRID_SIZE, paint_max
 
@@ -58,13 +58,13 @@ def pmap(
     pvec: PreferenceVector,
     grid_h: int = GRID_SIZE,
     grid_w: int = GRID_SIZE,
-) -> SaliencyGrid:
-    """Preference map: each cell takes the max preference weight among the
-    ground-truth objects covering it; uncovered cells are 0."""
+) -> np.ndarray:
+    """Preference map, a (grid_h, grid_w) array: each cell takes the max preference
+    weight among the ground-truth objects covering it; uncovered cells are 0."""
     dets = img.boxes.detections
     weights = [float(pvec.weights[img.mapping.super_index(d.category_id)]) for d in dets]
-    return SaliencyGrid(paint_max((d.box for d in dets), weights,
-                                  img.boxes.image_w, img.boxes.image_h, grid_h, grid_w))
+    return paint_max((d.box for d in dets), weights,
+                     img.boxes.image_w, img.boxes.image_h, grid_h, grid_w)
 
 
 def blend_inputs(
@@ -76,8 +76,8 @@ def blend_inputs(
     """The image's blend inputs at ``grid_h`` x ``grid_w``, flattened row-major:
     SAL, the fixation map resampled and min-max normalized, and the preference
     map. They depend on the image alone, not on the blend weights."""
-    sal = minmax_rows(resample(img.sal, grid_h, grid_w).values.reshape(1, -1))[0]
-    return sal, pmap(img, pvec, grid_h, grid_w).values.ravel()
+    sal = minmax_rows(bilinear(img.sal.values, grid_h, grid_w).reshape(1, -1))[0]
+    return sal, pmap(img, pvec, grid_h, grid_w).ravel()
 
 
 def blend(sal: np.ndarray, pm: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -100,7 +100,7 @@ def generate_psal(
     (:func:`blend` with one weight triple)."""
     sal, pm = blend_inputs(img, pvec, grid_h, grid_w)
     out = blend(sal, pm, np.array([w.as_tuple()]))
-    return SaliencyGrid(out.reshape(grid_h, grid_w), normalized=True)
+    return SaliencyGrid(out.reshape(grid_h, grid_w))
 
 
 def load_annotation_manifest(path: str | Path,
@@ -127,4 +127,4 @@ def center_prior(sals: list[SaliencyGrid]) -> SaliencyGrid:
         if s.shape != shape:
             raise DimMismatchError(f"saliency map shape {s.shape} != {shape}")
         total += s.values
-    return minmax_normalize(SaliencyGrid(total))
+    return SaliencyGrid(minmax_rows(total.reshape(1, -1)).reshape(shape))

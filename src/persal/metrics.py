@@ -2,7 +2,8 @@
 
 All logarithms are natural. CC uses population covariance / stddev; constant
 grids make it undefined and are excluded from batch means with an exclusion
-count rather than imputed.
+count rather than imputed. CC and SIM are one row kernel each (:func:`cc_rows`,
+:func:`sim_rows`), shared by :func:`cc` / :func:`sim` and the ``tune`` sweep.
 """
 
 from __future__ import annotations
@@ -26,39 +27,54 @@ DEFAULT_EMD_RESOLUTION = 32
 MASS_EPS = 1e-15
 
 
+def cc_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pearson correlation of each row of the (K, n) ``a`` with the (n,) ``b``;
+    NaN where the row or ``b`` is constant, which leaves CC undefined."""
+    a = a - a.mean(axis=1, keepdims=True)
+    b = b - b.mean()
+    sa = np.sqrt((a * a).mean(axis=1))
+    sb = np.sqrt((b * b).mean())
+    out = np.full(len(a), np.nan)
+    ok = (sa != 0.0) & (sb != 0.0)
+    out[ok] = np.clip((a[ok] * b).mean(axis=1) / (sa[ok] * sb), -1.0, 1.0)
+    return out
+
+
+def sim_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of element-wise minima of each row of the (K, n) ``a`` with the (n,) ``b``."""
+    return np.minimum(a, b).sum(axis=1)
+
+
 def cc(p: SaliencyGrid, q: SaliencyGrid) -> float:
     """Pearson correlation coefficient between the two grids."""
     require_same_shape(p, q)
-    a = p.values.ravel()
-    b = q.values.ravel()
-    a = a - a.mean()
-    b = b - b.mean()
-    sa = float(np.sqrt((a * a).mean()))
-    sb = float(np.sqrt((b * b).mean()))
-    if sa == 0.0 or sb == 0.0:
+    value = float(cc_rows(p.values.reshape(1, -1), q.values.ravel())[0])
+    if np.isnan(value):
         raise ZeroVarianceError("correlation undefined for a constant grid")
-    return float(np.clip((a * b).mean() / (sa * sb), -1.0, 1.0))
+    return value
 
 
-def _require_normalized(g: SaliencyGrid, name: str) -> None:
-    s = float(g.values.sum())
+def _require_normalized(v: np.ndarray, name: str) -> None:
+    s = float(v.sum())
     if abs(s - 1.0) > SUM_TOL:
         raise NotNormalizedError(f"{name} has pixel-sum {s}, expected 1")
 
 
+def _require_distributions(p: SaliencyGrid, q: SaliencyGrid) -> None:
+    require_same_shape(p, q)
+    _require_normalized(p.values, "p")
+    _require_normalized(q.values, "q")
+
+
 def sim(p: SaliencyGrid, q: SaliencyGrid) -> float:
     """Histogram intersection of two distributions: sum of element-wise minima."""
-    require_same_shape(p, q)
-    _require_normalized(p, "p")
-    _require_normalized(q, "q")
-    return float(np.minimum(p.values, q.values).sum())
+    _require_distributions(p, q)
+    return float(sim_rows(p.values.reshape(1, -1), q.values.ravel())[0])
 
 
 def kld_judd(p: SaliencyGrid, q: SaliencyGrid) -> float:
     """Epsilon-regularized KL divergence, the saliency-benchmark variant."""
-    require_same_shape(p, q)
-    _require_normalized(p, "p")
-    _require_normalized(q, "q")
+    _require_distributions(p, q)
     pv = p.values
     qv = q.values
     return float(np.sum(qv * np.log(KLD_JUDD_EPS + qv / (KLD_JUDD_EPS + pv))))
@@ -66,9 +82,7 @@ def kld_judd(p: SaliencyGrid, q: SaliencyGrid) -> float:
 
 def kld_plain(p: SaliencyGrid, q: SaliencyGrid) -> float:
     """Plain KL divergence sum(p * log(p / q)); 0*log(0) taken as 0."""
-    require_same_shape(p, q)
-    _require_normalized(p, "p")
-    _require_normalized(q, "q")
+    _require_distributions(p, q)
     pv = p.values.ravel()
     qv = q.values.ravel()
     support = pv > 0
@@ -102,22 +116,25 @@ def _ground_distance(h: int, w: int, metric: str) -> np.ndarray:
     return d.astype(np.float64)
 
 
+@lru_cache(maxsize=64)
+def _axis_matrix(old: int, new: int) -> np.ndarray:
+    """Read-only (new, old) weights: the share of old cell i that falls in new cell k."""
+    scale = new / old
+    m = np.zeros((new, old))
+    for i in range(old):
+        lo = i * scale
+        hi = (i + 1) * scale
+        k0 = int(np.floor(lo))
+        k1 = min(new - 1, int(np.ceil(hi)) - 1)
+        for k in range(k0, k1 + 1):
+            m[k, i] = max(0.0, min(hi, k + 1) - max(lo, k)) / scale
+    m.setflags(write=False)
+    return m
+
+
 def _mass_preserving_downsample(v: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     """Aggregate cell masses into a coarser grid by exact area overlap."""
-
-    def axis_matrix(old: int, new: int) -> np.ndarray:
-        scale = new / old
-        m = np.zeros((new, old))
-        for i in range(old):
-            lo = i * scale
-            hi = (i + 1) * scale
-            k0 = int(np.floor(lo))
-            k1 = min(new - 1, int(np.ceil(hi)) - 1)
-            for k in range(k0, k1 + 1):
-                m[k, i] = max(0.0, min(hi, k + 1) - max(lo, k)) / scale
-        return m
-
-    return axis_matrix(v.shape[0], new_h) @ v @ axis_matrix(v.shape[1], new_w).T
+    return _axis_matrix(v.shape[0], new_h) @ v @ _axis_matrix(v.shape[1], new_w).T
 
 
 def emd(

@@ -5,10 +5,11 @@ labels: first the fixation weight alpha with the beta:gamma ratio fixed, then
 the beta fraction with alpha fixed. Ties break toward smaller alpha, then
 larger beta.
 
-Each sweep reads every image once: the blend inputs and the label's centred
-values depend on the image alone, so all candidates of the sweep are blended
-and scored together as one (K, h*w) array, with the same floating-point steps
-as ``generate_psal``, ``cc`` and ``sim`` on one candidate at a time.
+Each sweep reads every image once: the blend inputs depend on the image
+alone, so all candidates of the sweep are blended as one (K, h*w) array and
+scored against the label by ``metrics``' own CC and SIM row kernels, which
+give the same bits as ``generate_psal``, ``cc`` and ``sim`` on one candidate
+at a time.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotNormalizedError, OutOfRangeError
-from .grid import NORM_TOL, SaliencyGrid
+from .grid import SaliencyGrid
 from .groundtruth import AnnotatedImage, GtWeights, blend, blend_inputs
-from .metrics import SUM_TOL
+from .metrics import _require_normalized, cc_rows, sim_rows
 from .preference import PreferenceVector
 
 # Not used by the sweep: perfbench/tracer.py wraps these names in this module,
@@ -103,28 +104,19 @@ def _score_candidates(
         try:
             sal, pm = blend_inputs(img, pvec, label.height, label.width)
             g = blend(sal, pm, triples[live])
-            # a generated grid is a distribution to NORM_TOL (SaliencyGrid's
-            # check), so sim's looser SUM_TOL check on it cannot fail after
-            mass = g.sum(axis=1)
-            off = np.abs(mass - 1.0) > NORM_TOL
-            for r in np.flatnonzero(off):
-                failures[r] = ValueError(f"normalized flag set but pixel-sum is {mass[r]!r}")
-            # CC is undefined, and the image left out, where either grid is constant
             q = label.values.ravel()
-            a = g - g.mean(axis=1, keepdims=True)
-            b = q - q.mean()
-            sa = np.sqrt((a * a).mean(axis=1))
-            sb = float(np.sqrt((b * b).mean()))
-            ok = (sa != 0.0) & (sb != 0.0) & ~off
-            q_mass = float(q.sum())
-            if ok.any() and abs(q_mass - 1.0) > SUM_TOL:
-                for r in np.flatnonzero(ok):
-                    failures[r] = NotNormalizedError(f"q has pixel-sum {q_mass}, expected 1")
-                ok[:] = False
+            # CC is undefined, and the image left out, where either grid is
+            # constant; blend rows are distributions, so SIM checks only q
+            c = cc_rows(g, q)
+            ok = ~np.isnan(c)
+            if ok.any():
+                _require_normalized(q, "q")
             rows = live[ok]
-            ccs[rows, i] = np.clip((a[ok] * b).mean(axis=1) / (sa[ok] * sb), -1.0, 1.0)
-            sims[rows, i] = np.minimum(g[ok], q).sum(axis=1)
+            ccs[rows, i] = c[ok]
+            sims[rows, i] = sim_rows(g[ok], q)
             defined[rows, i] = True
+        except NotNormalizedError as exc:  # fails the candidates that reached SIM
+            failures = dict.fromkeys(np.flatnonzero(ok), exc)
         except Exception as exc:  # noqa: BLE001 - an image error fails candidates, not the sweep
             failures = dict.fromkeys(range(live.size), exc)
         for r, exc in failures.items():

@@ -34,12 +34,12 @@ def _softmax(g: SaliencyGrid) -> SaliencyGrid:
     v = g.values
     e = np.exp(v - v.max())
     e /= e.sum()
-    return SaliencyGrid(e, normalized=True)
+    return SaliencyGrid(e)
 
 
 def psal_oracle(img, pvec, w, grid_h, grid_w) -> SaliencyGrid:
     sal = _minmax(resample(img.sal, grid_h, grid_w)).values
-    pm = pmap(img, pvec, grid_h, grid_w).values
+    pm = pmap(img, pvec, grid_h, grid_w)
     blend = w.alpha * sal + w.beta * sal * pm + w.gamma * pm
     return _softmax(_minmax(SaliencyGrid(blend)))
 

@@ -72,7 +72,7 @@ def random_annotated(
 def normalized_grid(rng: np.random.Generator, h: int, w: int) -> SaliencyGrid:
     """Random strictly positive distribution (pixel-sum exactly renormalized)."""
     v = rng.random((h, w)) + 1e-3
-    return SaliencyGrid(v / v.sum(), normalized=True)
+    return SaliencyGrid(v / v.sum())
 
 
 def tiny_cell_triple() -> list[SaliencyGrid]:

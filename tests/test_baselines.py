@@ -41,7 +41,6 @@ class TestCenterPriorBaseline:
         rng = np.random.default_rng(0)
         prior = center_prior([SaliencyGrid(rng.random((9, 9))) for _ in range(4)])
         out = center_prior_baseline(prior)
-        assert out.normalized
         assert abs(out.values.sum() - 1.0) <= 1e-9
         # plain division: proportions preserved
         np.testing.assert_allclose(out.values, prior.values / prior.values.sum(), atol=1e-15)

@@ -28,11 +28,6 @@ class TestSaliencyGrid:
         with pytest.raises(ValueError):
             grid([[np.inf, 0.0]])
 
-    def test_normalized_flag_checks_sum(self):
-        with pytest.raises(ValueError):
-            SaliencyGrid(np.full((2, 2), 0.3), normalized=True)
-        SaliencyGrid(np.full((2, 2), 0.25), normalized=True)
-
     def test_values_are_read_only(self):
         g = grid([[1.0, 2.0]])
         with pytest.raises(ValueError):
@@ -67,10 +62,9 @@ class TestSoftmaxNormalize:
         out = softmax_normalize(grid([[1.0, 0.0]]))
         np.testing.assert_allclose(out.values, [[E / (E + 1), 1 / (E + 1)]], atol=1e-15)
 
-    def test_sums_to_one_and_flagged(self):
+    def test_sums_to_one(self):
         rng = np.random.default_rng(1)
         out = softmax_normalize(SaliencyGrid(rng.random((38, 38))))
-        assert out.normalized
         assert abs(out.values.sum() - 1.0) <= 1e-9
 
     def test_strictly_positive_and_monotone(self):
@@ -92,8 +86,8 @@ class TestResample:
             resample(grid([[1.0]]), 0, 3)
 
     def test_constant_extension_of_1x1(self):
-        out = resample(SaliencyGrid(np.array([[1.0]]), normalized=True), 4, 6)
-        np.testing.assert_allclose(out.values, np.full((4, 6), 1 / 24), atol=1e-12)
+        out = resample(grid([[1.0]]), 4, 6)
+        np.testing.assert_allclose(out.values, np.ones((4, 6)), atol=1e-12)
 
     def test_checkerboard_corners_keep_source_values(self):
         src = grid([[1.0, 0.0], [0.0, 1.0]])
@@ -104,14 +98,6 @@ class TestResample:
         assert out[0, 3] == 0.0
         assert out[3, 0] == 0.0
         assert out[3, 3] == 1.0
-
-    def test_mass_preserved_for_normalized_inputs(self):
-        rng = np.random.default_rng(3)
-        v = rng.random((38, 38))
-        g = SaliencyGrid(v / v.sum(), normalized=True)
-        out = resample(g, 17, 23)
-        assert out.normalized
-        assert abs(out.values.sum() - 1.0) <= 1e-9
 
     def test_nonnegativity_preserved(self):
         rng = np.random.default_rng(4)

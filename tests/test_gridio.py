@@ -24,12 +24,6 @@ class TestRoundTrip:
         write_grid(read_grid(a), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_read_never_claims_normalized(self, tmp_path):
-        g = SaliencyGrid(np.full((2, 2), 0.25), normalized=True)
-        path = tmp_path / "n.fgrd"
-        write_grid(g, path)
-        assert read_grid(path).normalized is False
-
 
 class TestCorruption:
     def write_sample(self, tmp_path):

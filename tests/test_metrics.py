@@ -9,7 +9,14 @@ from persal.errors import (
     ZeroVarianceError,
 )
 from persal.cli import _eval_one
-from persal.metrics import KLD_JUDD_EPS, evaluate_pair
+from persal.metrics import (
+    KLD_JUDD_EPS,
+    _axis_matrix,
+    _mass_preserving_downsample,
+    cc_rows,
+    evaluate_pair,
+    sim_rows,
+)
 from lp_oracle import emd_oracle
 from ssp_oracle import ssp_transport
 from synth import normalized_grid, tiny_cell_triple
@@ -19,7 +26,7 @@ EPS = KLD_JUDD_EPS
 
 def dist(rows):
     v = np.asarray(rows, dtype=np.float64)
-    return SaliencyGrid(v, normalized=True)
+    return SaliencyGrid(v)
 
 
 def grid(rows):
@@ -85,6 +92,44 @@ class TestSim:
     def test_requires_normalization(self):
         with pytest.raises(NotNormalizedError):
             sim(grid([[0.5, 0.2]]), dist([[0.5, 0.5]]))
+
+
+class TestRowKernels:
+    def test_each_row_is_its_own_cc_and_sim_bit_for_bit(self):
+        # the tune sweep scores all candidates of an image in one call; each
+        # row must be what cc and sim give that candidate alone
+        rng = np.random.default_rng(15)
+        for h, w in [(38, 38), (16, 16), (5, 7), (1, 3)]:
+            a = rng.dirichlet(np.ones(h * w), 14)
+            a[3] = 0.25  # a constant row: its CC is undefined
+            b = rng.dirichlet(np.ones(h * w))
+            c, s = cc_rows(a, b), sim_rows(a, b)
+            q = SaliencyGrid(b.reshape(h, w))
+            for k, row in enumerate(a):
+                p = SaliencyGrid(row.reshape(h, w))
+                if k == 3:
+                    assert np.isnan(c[k])
+                    with pytest.raises(ZeroVarianceError):
+                        cc(p, q)
+                    continue
+                assert c[k] == cc(p, q)
+                assert s[k] == sim(p, q)
+
+
+class TestDownsample:
+    def test_overlap_matrices_built_once_per_shape_and_read_only(self):
+        _axis_matrix.cache_clear()
+        v = np.random.default_rng(17).random((38, 38))
+        first = _mass_preserving_downsample(v, 12, 12)
+        for _ in range(3):
+            assert np.array_equal(_mass_preserving_downsample(v, 12, 12), first)
+        _mass_preserving_downsample(v[:, :20], 12, 12)
+        info = _axis_matrix.cache_info()
+        assert (info.misses, info.hits) == (2, 8)  # (38, 12), then (20, 12)
+        m = _axis_matrix(38, 12)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
 
 
 class TestKldJudd:
@@ -301,7 +346,7 @@ class TestEvaluate:
 
     def test_cc_exclusion_counted(self):
         n = 4
-        uniform = SaliencyGrid(np.full((n, n), 1 / n**2), normalized=True)
+        uniform = SaliencyGrid(np.full((n, n), 1 / n**2))
         rng = np.random.default_rng(12)
         other = normalized_grid(rng, n, n)
         report = score([(uniform, other), (other, other)])

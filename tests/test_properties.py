@@ -1,4 +1,5 @@
-"""Property tests: metric laws on random grids, and batch robustness of eval."""
+"""Property tests: metric laws on random grids, batch robustness of eval, and
+that every producer of a distribution returns one."""
 
 import json
 import tempfile
@@ -9,12 +10,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from persal import SaliencyGrid, cc, emd, sim, write_grid
+from persal import (
+    AnnotatedImage,
+    BaselineConfig,
+    DetectionSet,
+    PreferenceVector,
+    SaliencyGrid,
+    cc,
+    center_prior_baseline,
+    detection_baseline,
+    emd,
+    final_weights,
+    generate_psal,
+    sim,
+    write_grid,
+)
+from persal.baselines import random_fallback_grid
 from persal.cli import main
 from persal.errors import ZeroVarianceError
-from synth import tiny_cell_triple
+from synth import IMAGE_SIZE, fixation_map, random_boxes, tiny_cell_triple, two_cat_mapping
 
 CELL = st.floats(0.0, 1.0, allow_subnormal=False)
+SHAPE = st.tuples(st.integers(1, 40), st.integers(1, 40))
+SEED = st.integers(0, 2**32 - 1)
+MAPPING = two_cat_mapping()
 
 
 @st.composite
@@ -28,7 +47,7 @@ def grids(draw, n=2, normalized=True, max_side=6):
         if normalized:
             cells = cells.filter(lambda v: sum(v) > 1e-3)
         v = np.array(draw(cells)).reshape(h, w)
-        out.append(SaliencyGrid(v / v.sum(), normalized=True) if normalized else SaliencyGrid(v))
+        out.append(SaliencyGrid(v / v.sum()) if normalized else SaliencyGrid(v))
     return out
 
 
@@ -90,3 +109,45 @@ def test_zero_mass_predictions_never_abort_a_batch(zero_mass, seed):
             assert fields[6] == f"ZeroMassError: {fields[0]}: prediction has zero mass"
         else:
             assert all(fields[1:6]) and fields[6] == ""
+
+
+def assert_distribution(g):
+    v = g.values
+    assert np.all(np.isfinite(v)) and np.all(v >= 0)
+    assert abs(float(v.sum()) - 1.0) <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore::persal.errors.ConstantGridWarning")
+@settings(max_examples=40, deadline=None)
+@given(SEED, SHAPE, st.booleans(), st.tuples(CELL, CELL), CELL, CELL)
+def test_generated_ground_truth_is_a_distribution(seed, shape, constant, weights, alpha, frac):
+    rng = np.random.default_rng(seed)
+    sal = SaliencyGrid(np.full((38, 38), 0.5)) if constant else fixation_map(rng)
+    boxes = DetectionSet(IMAGE_SIZE, IMAGE_SIZE, random_boxes(rng, int(rng.integers(0, 4))))
+    img = AnnotatedImage(sal=sal, boxes=boxes, mapping=MAPPING)
+    pvec = PreferenceVector(MAPPING.super_names, np.array(weights))
+    assert_distribution(generate_psal(img, pvec, final_weights(alpha, frac), *shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEED, SHAPE, st.sampled_from(["painted", "zero-weight", "fallback"]))
+def test_detection_baseline_is_a_distribution(seed, shape, case):
+    rng = np.random.default_rng(seed)
+    score = 0.2 if case == "fallback" else float(rng.uniform(0.5, 1.0))  # threshold 0.5
+    boxes = DetectionSet(IMAGE_SIZE, IMAGE_SIZE, random_boxes(rng, int(rng.integers(1, 4)),
+                                                              score=score))
+    weights = np.zeros(2) if case == "zero-weight" else rng.uniform(0.01, 1.0, 2)
+    cfg = BaselineConfig(kind="detection", seed=seed)
+    out = detection_baseline(boxes, MAPPING, PreferenceVector(MAPPING.super_names, weights),
+                             cfg, *shape)
+    fallback = random_fallback_grid(seed, *shape)
+    assert_distribution(out)
+    assert_distribution(fallback)
+    if case != "painted":
+        assert np.array_equal(out.values, fallback.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids(n=1, normalized=False, max_side=12).filter(lambda g: g[0].values.sum() > 0))
+def test_center_prior_baseline_is_a_distribution(g):
+    assert_distribution(center_prior_baseline(g[0]))
